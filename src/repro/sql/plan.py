@@ -21,7 +21,14 @@ executes against any database sharing the schema the plan was compiled for:
   member row tuples;
 - **subquery hoisting** — a subquery whose compiled expressions never
   escape its own scope boundary executes once per query execution;
-  correlated subqueries are memoized per outer row chain.
+  correlated subqueries are memoized per outer row chain.  A reference is
+  correlated only if it can reach an outer scope at runtime: a name is
+  resolved outward only past scopes whose row may be ``None`` (the empty
+  whole-table group of an ungrouped aggregate, while its items, HAVING
+  and ORDER BY run), so a subquery column that shadows an outer name
+  stays local and ``pk IN (SELECT pk FROM t ...)`` is hoisted.  EXPLAIN
+  names the outer references of each correlated subquery
+  (``s1 correlated on p.id``).
 
 Parity with :func:`repro.sql.executor.execute_reference` is exact and
 enforced by differential tests: same results, same ``ordered`` flags, same
@@ -72,6 +79,7 @@ import os
 import threading
 import weakref
 from collections import OrderedDict
+from contextlib import contextmanager
 from itertools import count
 from operator import itemgetter
 from typing import Any, Callable
@@ -268,7 +276,7 @@ class _Ctx:
     """Per-compilation state: schema, subquery boundaries, plan metadata."""
 
     __slots__ = ("schema", "boundaries", "meta", "sids", "db", "optimize",
-                 "vectorize", "nids", "subplans")
+                 "vectorize", "nids", "subplans", "nullable")
 
     def __init__(self, schema: Schema, db: Database | None = None,
                  optimize: bool = False, vectorize: bool = False) -> None:
@@ -277,6 +285,10 @@ class _Ctx:
         self.optimize = optimize
         self.vectorize = vectorize
         self.boundaries: list[dict[str, Any]] = []
+        #: frames whose runtime row may be ``None`` where the expression
+        #: being compiled runs: the empty-group representative of an
+        #: ungrouped aggregate, while its items, HAVING and ORDER BY compile
+        self.nullable: set[_Frame] = set()
         self.sids = count()
         self.nids = count(1)
         self.subplans: list[tuple[int, PlanNode]] = []
@@ -295,6 +307,17 @@ class _Ctx:
             "vector_ops": 0,
             "vector_fallbacks": 0,
         }
+
+    @contextmanager
+    def row_may_be_none(self, frame: _Frame, nullable: bool):
+        """Compile the enclosed expressions with *frame*'s row possibly
+        ``None`` (*nullable*) or never ``None``; restores the old state."""
+        saved = self.nullable
+        self.nullable = saved | {frame} if nullable else saved - {frame}
+        try:
+            yield
+        finally:
+            self.nullable = saved
 
     def node(self, op, detail="", est_rows=None, est_cost=None,
              children=()) -> PlanNode:
@@ -335,33 +358,51 @@ def _resolve(
 ) -> list[tuple[int, int]]:
     """Candidate ``(depth, slot)`` pairs for a column reference.
 
-    One candidate per chain depth where the reference would resolve; slot
+    One candidate per chain depth where the reference would resolve, up to
+    and including the first depth whose row can never be ``None``; slot
     ``-1`` marks depth-level ambiguity.  At runtime candidates are tried in
     order, skipping depths whose row is ``None`` (the empty-group
     representative), which reproduces the interpreter's scope walk through
-    its empty ``_Scope``.
+    its empty ``_Scope``.  Only the candidates kept can be reached, so only
+    they mark a subquery boundary as escaped: a reference is correlated
+    exactly when it can reach an outer scope at runtime.
     """
     column_l = column.lower()
     table_l = table.lower() if table is not None else None
+    nullable = ctx.nullable
     cands: list[tuple[int, int]] = []
     for depth, frame in enumerate(chain):
         if table_l is not None:
             slots = frame.bindings.get(table_l)
-            if slots is not None and column_l in slots:
-                cands.append((depth, slots[column_l]))
+            if slots is None or column_l not in slots:
+                continue
+            cands.append((depth, slots[column_l]))
         else:
             hits = [s[column_l] for s in frame.bindings.values() if column_l in s]
-            if len(hits) == 1:
-                cands.append((depth, hits[0]))
-            elif len(hits) > 1:
-                cands.append((depth, -1))
+            if not hits:
+                continue
+            cands.append((depth, hits[0] if len(hits) == 1 else -1))
+        if frame not in nullable:
+            break
     if cands and ctx.boundaries:
         length = len(chain)
-        for depth, _slot in cands:
+        for depth, slot in cands:
             for boundary in ctx.boundaries:
                 if length - depth <= boundary["size"]:
-                    boundary["escaped"] = True
+                    boundary["refs"][_ref_name(chain[depth], table_l,
+                                               column_l, slot)] = None
     return cands
+
+
+def _ref_name(frame: _Frame, table_l: str | None, column_l: str,
+              slot: int) -> str:
+    """``binding.column`` for a resolved reference (bare when ambiguous)."""
+    if table_l is not None:
+        return f"{table_l}.{column_l}"
+    for binding, slots in frame.bindings.items():
+        if slots.get(column_l) == slot:
+            return f"{binding}.{column_l}"
+    return column_l
 
 
 def _analyze_safe(
@@ -821,7 +862,9 @@ def _compile_aggregate(expr: FuncCall, chain: list[_Frame], ctx: _Ctx) -> _ExprF
             raise ExecutionError(required)
 
         return no_arg_fn
-    arg_fn = _compile_expr(expr.args[0], chain, ctx, None)
+    # the argument runs on member rows, which are never None
+    with ctx.row_may_be_none(chain[0], False):
+        arg_fn = _compile_expr(expr.args[0], chain, ctx, None)
     distinct = expr.distinct
     non_numeric = f"aggregate {name.upper()} over non-numeric values"
 
@@ -856,21 +899,22 @@ def _compile_aggregate(expr: FuncCall, chain: list[_Frame], ctx: _Ctx) -> _ExprF
 
 
 def _compile_subplan(query: Query, chain: list[_Frame], ctx: _Ctx, transform):
-    boundary = {"size": len(chain), "escaped": False}
+    # refs: outer references (binding.column, in first-seen order) that
+    # escape this boundary; any one makes the subquery correlated
+    boundary = {"size": len(chain), "refs": {}}
     ctx.boundaries.append(boundary)
     runner, node = _compile_query_runner(query, chain, ctx)
     ctx.boundaries.pop()
-    correlated = boundary["escaped"]
+    refs = list(boundary["refs"])
+    correlated = bool(refs)
     if correlated:
         ctx.meta["correlated_subqueries"] += 1
+        detail = "correlated on " + ", ".join(refs)
     else:
         ctx.meta["hoisted_subqueries"] += 1
+        detail = "hoisted"
     sid = next(ctx.sids)
-    sub_node = ctx.node(
-        "subquery",
-        f"s{sid} " + ("correlated" if correlated else "hoisted"),
-        children=[node],
-    )
+    sub_node = ctx.node("subquery", f"s{sid} {detail}", children=[node])
     ctx.subplans.append(sub_node)
     return _SubPlan(sid, correlated, runner, transform, sub_node.nid)
 
@@ -2476,7 +2520,8 @@ def _analyze_vector_agg(select: Select, chain, ctx, aliases):
         ):
             return ("count*",)
         if len(expr.args) == 1:
-            slot = _vector_agg_slot(expr.args[0], chain, ctx)
+            with ctx.row_may_be_none(chain[0], False):
+                slot = _vector_agg_slot(expr.args[0], chain, ctx)
             if slot is not None:
                 return ("agg", name, slot, expr.distinct)
         return None
@@ -2547,22 +2592,29 @@ def _analyze_vector_agg(select: Select, chain, ctx, aliases):
 def _compile_aggregated_runner(select: Select, chain, ctx, source, filter_fn,
                                info):
     group_fns = [_compile_expr(e, chain, ctx, None) for e in select.group_by]
-    having_fn = (
-        _compile_expr(select.having, chain, ctx, None)
-        if select.having is not None
-        else None
-    )
-    item_fns = [
-        _compile_expr(item.expr, chain, ctx, None) for item in select.items
-    ]
     agg_columns = [
         item.alias if item.alias else to_sql(item.expr).lower()
         for item in select.items
     ]
     aliases = _alias_map(select, len(select.items)) if select.order_by else None
-    order_fns = [
-        _compile_expr(item.expr, chain, ctx, aliases) for item in select.order_by
-    ]
+    # without GROUP BY the one whole-table group may be empty, and then its
+    # items, HAVING and ORDER BY see a None representative row
+    with ctx.row_may_be_none(chain[0], not select.group_by):
+        having_fn = (
+            _compile_expr(select.having, chain, ctx, None)
+            if select.having is not None
+            else None
+        )
+        item_fns = [
+            _compile_expr(item.expr, chain, ctx, None) for item in select.items
+        ]
+        order_fns = [
+            _compile_expr(item.expr, chain, ctx, aliases)
+            for item in select.order_by
+        ]
+        vec = None
+        if ctx.vectorize:
+            vec = _analyze_vector_agg(select, chain, ctx, aliases)
     order_by = select.order_by
     distinct = select.distinct
     limit = select.limit
@@ -2572,9 +2624,7 @@ def _compile_aggregated_runner(select: Select, chain, ctx, source, filter_fn,
     if use_topk:
         ctx.meta["topk_sorts"] += 1
 
-    vec = None
     if ctx.vectorize:
-        vec = _analyze_vector_agg(select, chain, ctx, aliases)
         if vec is not None:
             ctx.meta["vector_ops"] += 1
         else:

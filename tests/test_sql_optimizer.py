@@ -29,7 +29,8 @@ from repro.sql.plan import (
     plan_cache_stats,
     set_optimizer_enabled,
 )
-from tests.test_sql_plan import _random_query
+from repro.sql.vector import set_vector_enabled
+from tests.test_sql_plan import _AGGS, _CMPS, _COLS, _NUM_COLS, _random_query
 
 NUM = ColumnType.NUMBER
 TXT = ColumnType.TEXT
@@ -112,6 +113,181 @@ class TestThreeWayProperty:
             "(SELECT product_id FROM sales)",
             empty_db,
         )
+
+
+# ----------------------------------------------------------------------
+# Subqueries whose column names shadow outer ones: a reference is
+# correlated only if it can reach an outer scope at runtime.
+_SHADOWED_KEY_IN = (
+    "SELECT name FROM products WHERE id IN "
+    "(SELECT id FROM sales WHERE quantity > 2)"
+)
+_SAME_TABLE_SCALAR = (
+    "SELECT name FROM products WHERE price > (SELECT AVG(price) FROM products)"
+)
+_EMPTY_GROUP_FALLTHROUGH = [
+    "SELECT name, (SELECT AVG(price) + price FROM products WHERE price < 0) "
+    "FROM products",
+    "SELECT name, (SELECT COUNT(*) + price FROM products WHERE price < 0) "
+    "FROM products",
+]
+
+
+def _subquery_meta(sql: str, db: Database) -> dict[str, int]:
+    return compile_query(parse_sql(sql), db.schema, db, optimize=True).describe()
+
+
+class TestShadowedSubqueries:
+    @pytest.mark.parametrize("db_name", ["shop_db", "empty_db"])
+    def test_shadowed_key_in_is_hoisted_semi_join(self, db_name, request):
+        db = request.getfixturevalue(db_name)
+        assert_three_way(_SHADOWED_KEY_IN, db)
+        meta = _subquery_meta(_SHADOWED_KEY_IN, db)
+        assert meta["hoisted_subqueries"] == 1
+        assert meta["correlated_subqueries"] == 0
+        assert meta["semi_joins"] == 1
+
+    @pytest.mark.parametrize("db_name", ["shop_db", "empty_db"])
+    def test_same_table_scalar_is_hoisted(self, db_name, request):
+        db = request.getfixturevalue(db_name)
+        assert_three_way(_SAME_TABLE_SCALAR, db)
+        meta = _subquery_meta(_SAME_TABLE_SCALAR, db)
+        assert meta["hoisted_subqueries"] == 1
+        assert meta["correlated_subqueries"] == 0
+
+    @pytest.mark.parametrize("db_name", ["shop_db", "empty_db"])
+    @pytest.mark.parametrize("sql", _EMPTY_GROUP_FALLTHROUGH)
+    def test_empty_group_fallthrough_stays_correlated(self, sql, db_name,
+                                                       request):
+        db = request.getfixturevalue(db_name)
+        assert_three_way(sql, db)
+        meta = _subquery_meta(sql, db)
+        assert meta["correlated_subqueries"] == 1
+        assert meta["hoisted_subqueries"] == 0
+
+    @pytest.mark.parametrize("db_name", ["shop_db", "empty_db"])
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            # `id` is ambiguous inside the join, before any outer scope
+            "SELECT name FROM products WHERE id IN (SELECT id FROM sales "
+            "JOIN products ON sales.product_id = products.id)",
+            "SELECT name FROM products WHERE EXISTS (SELECT 1 FROM sales "
+            "JOIN products ON sales.product_id = products.id WHERE id > 1)",
+            # unknown in every scope, raised only if the subquery runs
+            "SELECT name FROM products WHERE id IN (SELECT nope FROM sales)",
+            "SELECT name FROM products WHERE price > "
+            "(SELECT MAX(nope) FROM products)",
+            "SELECT (SELECT COUNT(*) + nope FROM sales WHERE id < 0) "
+            "FROM products",
+        ],
+    )
+    def test_subquery_name_errors_match_reference(self, sql, db_name,
+                                                  request):
+        assert_three_way(sql, request.getfixturevalue(db_name))
+
+
+def _random_subquery_query(rng: random.Random) -> str:
+    """A query with one IN / EXISTS / scalar subquery whose column names
+    shadow the outer scope's.
+
+    Inner and outer tables share ``id`` (or are the same table), inner
+    references are mostly unqualified, inner WHERE clauses are often
+    unsatisfiable (empty inner input), and scalar subqueries are ungrouped
+    aggregates whose bare columns fall through to the outer row when the
+    group is empty.  Some references name the outer alias or no table at
+    all, so correlated, uncorrelated and erroring subqueries all occur.
+    """
+    outer = rng.choice(["products", "sales"])
+    inner = rng.choice(["products", "sales"])
+    alias = rng.choice(["", "o"])
+    outer_from = f"FROM {outer}" + (f" AS {alias}" if alias else "")
+    prefix = f"{alias}." if alias else ""
+
+    def inner_ref(numeric: bool = False) -> str:
+        if rng.random() < 0.03:
+            return "nope"  # unknown in every scope
+        cols = _NUM_COLS if numeric else _COLS
+        col = rng.choice(cols[outer] + cols[inner])
+        if alias and col in _COLS[outer] and rng.random() < 0.25:
+            return f"o.{col}"  # an explicit outer reference
+        return col
+
+    def inner_where() -> str:
+        roll = rng.random()
+        if roll < 0.3:
+            return f" WHERE {inner_ref(True)} < 0"  # usually empty input
+        if roll < 0.7:
+            return (
+                f" WHERE {inner_ref(True)} {rng.choice(_CMPS)} "
+                f"{rng.randrange(0, 6)}"
+            )
+        if roll < 0.85:
+            return f" WHERE {inner_ref()} = {inner_ref()}"
+        return ""
+
+    def scalar_item() -> str:
+        agg = rng.choice(_AGGS)
+        arg = "*" if agg == "COUNT" else inner_ref(True)
+        item = f"{agg}({arg})"
+        if rng.random() < 0.4:
+            item += f" + {inner_ref(True)}"  # bare column beside aggregate
+        tail = ""
+        roll = rng.random()
+        if roll < 0.15:
+            tail = f" ORDER BY {inner_ref()}"  # on the representative row
+        elif roll < 0.3:
+            tail = f" GROUP BY {inner_ref()}"
+            if rng.random() < 0.5:
+                tail += f" HAVING {inner_ref(True)} > 1"
+        return f"(SELECT {item} FROM {inner}{inner_where()}{tail})"
+
+    kind = rng.randrange(4)
+    outer_col = f"{prefix}{rng.choice(_COLS[outer])}"
+    outer_num = f"{prefix}{rng.choice(_NUM_COLS[outer])}"
+    not_ = "NOT " if rng.random() < 0.3 else ""
+    if kind == 0:
+        where = (
+            f" WHERE {outer_col} {not_}IN "
+            f"(SELECT {inner_ref()} FROM {inner}{inner_where()})"
+        )
+    elif kind == 1:
+        where = (
+            f" WHERE {not_}EXISTS "
+            f"(SELECT {inner_ref()} FROM {inner}{inner_where()})"
+        )
+    elif kind == 2:
+        where = f" WHERE {outer_num} {rng.choice(_CMPS)} {scalar_item()}"
+    else:
+        where = ""
+    if rng.random() < 0.25:
+        # ungrouped outer aggregate: the subquery may see its empty-group
+        # representative as the outer row
+        select = f"SELECT COUNT(*), {scalar_item()}"
+    else:
+        items = [f"{prefix}{rng.choice(_COLS[outer])}"]
+        if kind == 3 or rng.random() < 0.3:
+            items.append(scalar_item())
+        select = "SELECT " + ", ".join(items)
+    return f"{select} {outer_from}{where}"
+
+
+class TestShadowedSubqueryProperty:
+    @pytest.mark.parametrize("vectorize", [True, False])
+    @pytest.mark.parametrize(
+        "db_name, seed", [("shop_db", 13), ("empty_db", 17),
+                          ("null_join_db", 19)]
+    )
+    def test_random_shadowed_subqueries(self, db_name, seed, vectorize,
+                                        request):
+        db = request.getfixturevalue(db_name)
+        rng = random.Random(seed)
+        previous = set_vector_enabled(vectorize)
+        try:
+            for _ in range(150):
+                assert_three_way(_random_subquery_query(rng), db)
+        finally:
+            set_vector_enabled(previous)
 
 
 # ----------------------------------------------------------------------
@@ -265,6 +441,27 @@ class TestExplainAndCaches:
     def test_explain_reports_execution_errors(self, shop_db):
         text = explain("SELECT name + 1 FROM products", shop_db)
         assert "-- execution failed:" in text
+
+    def test_explain_names_correlating_references(self, shop_db):
+        text = explain(
+            "SELECT name FROM products AS p WHERE EXISTS (SELECT 1 FROM "
+            "sales AS s WHERE s.product_id = p.id AND quantity > price)",
+            shop_db,
+        )
+        assert "subquery s0 correlated on p.id, p.price" in text
+        hoisted = explain(_SHADOWED_KEY_IN, shop_db)
+        assert "subquery s0 hoisted" in hoisted
+        assert "correlated" not in hoisted
+
+    def test_explain_cli_names_correlating_references(self, capsys):
+        from repro.sql.explain_cli import main as explain_main
+
+        rc = explain_main([
+            "SELECT name FROM customers AS c WHERE EXISTS (SELECT 1 FROM "
+            "orders AS o WHERE o.customer_id = c.customer_id)"
+        ])
+        assert rc == 0
+        assert "correlated on c.customer_id" in capsys.readouterr().out
 
     def test_optimizer_toggle_keys_plan_cache(self, shop_db):
         clear_plan_caches()

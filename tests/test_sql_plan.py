@@ -222,6 +222,40 @@ class TestPlanCache:
             shop_db.schema,
         )
         assert correlated.describe()["correlated_subqueries"] == 1
+        # names the subquery shares with the outer scope resolve inside it
+        # (`id` is sales.id; `price` the inner products row) and never
+        # reach the outer row
+        for sql in (
+            "SELECT name FROM products WHERE id IN "
+            "(SELECT id FROM sales WHERE quantity > 2)",
+            "SELECT name FROM products WHERE price > "
+            "(SELECT AVG(price) FROM products)",
+        ):
+            shadowed = compile_sql(sql, shop_db.schema).describe()
+            assert shadowed["hoisted_subqueries"] == 1, sql
+            assert shadowed["correlated_subqueries"] == 0, sql
+
+    @pytest.mark.parametrize(
+        "item, values",
+        [
+            ("AVG(price) + price", [None, None, None, None]),  # NULL + x
+            ("COUNT(*) + price", [9.5, 19.0, 1.0, None]),  # 0 + outer price
+        ],
+    )
+    def test_empty_group_representative_stays_correlated(
+        self, shop_db, item, values
+    ):
+        # the ungrouped aggregate's group is empty, so the bare `price`
+        # falls through to the outer row: a real correlation
+        sql = (
+            f"SELECT name, (SELECT {item} FROM products WHERE price < 0) "
+            "FROM products"
+        )
+        plan = compile_sql(sql, shop_db.schema)
+        assert plan.describe()["correlated_subqueries"] == 1
+        assert plan.describe()["hoisted_subqueries"] == 0
+        rows = assert_engines_agree(sql, shop_db).rows
+        assert [row[1] for row in rows] == values
 
     def test_filter_pushdown_metadata(self, shop_db):
         plan = compile_sql(
@@ -230,6 +264,36 @@ class TestPlanCache:
             shop_db.schema,
         )
         assert plan.describe()["pushed_filters"] >= 1
+
+
+# ----------------------------------------------------------------------
+# Corpus-level pin: no generator gold subquery is correlated.
+def test_gold_corpus_subqueries_never_correlated():
+    """Every subquery the dataset generators emit resolves its column names
+    inside its own scope, so each one must compile hoisted (run once per
+    query, not once per outer row).  A resolver change that lets a shadowed
+    name escape to an outer scope again fails here."""
+    from repro.datasets import build_dataset
+    from repro.datasets.sql import build_cross_domain
+    from repro.sql.plan import compile_query
+
+    corpora = [
+        build_dataset("spider_like", scale=0.06, seed=11),
+        build_dataset("wikisql_like", scale=0.03, seed=11),
+        build_dataset("nvbench_like", scale=0.06, seed=11),
+        build_cross_domain(num_examples=400, seed=11),
+    ]
+    hoisted = 0
+    correlated = []
+    for dataset in corpora:
+        for db_id, sql in sorted({(e.db_id, e.sql) for e in dataset.examples}):
+            db = dataset.database(db_id)
+            meta = compile_query(parse_sql(sql), db.schema, db).describe()
+            hoisted += meta["hoisted_subqueries"]
+            if meta["correlated_subqueries"]:
+                correlated.append(sql)
+    assert correlated == []
+    assert hoisted >= 40  # the pin is not vacuous
 
 
 # ----------------------------------------------------------------------
