@@ -209,9 +209,8 @@ def _differential_sweep(db: Database, count: int, seed: int = 2024) -> int:
 def _drop_metric_caches(dbs) -> None:
     clear_plan_caches()
     for db in dbs:
-        for attr in ("_variant_cache", "_gold_result_cache"):
-            if hasattr(db, attr):
-                delattr(db, attr)
+        if hasattr(db, "_variant_cache"):
+            del db._variant_cache
 
 
 def _test_suite_workload(

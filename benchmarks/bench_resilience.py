@@ -88,7 +88,7 @@ def _round_tps(pipeline: Pipeline, db, iters: int) -> float:
     """Turns-per-second for one round of *iters* cold turns."""
     start = time.perf_counter()
     for i in range(iters):
-        pipeline._turn_memo.clear()
+        pipeline.turn_cache.clear()
         rescache.clear_result_cache()
         pipeline.run(QUESTIONS[i % len(QUESTIONS)], db)
     return iters / (time.perf_counter() - start)
@@ -104,7 +104,7 @@ def _measure(db, iters: int, rounds: int) -> dict[str, float]:
     resilient = _pipeline(ResiliencePolicy.default())
     for pipeline in (plain, resilient):  # warm parsers + result cache
         for question in QUESTIONS:
-            pipeline._turn_memo.clear()
+            pipeline.turn_cache.clear()
             pipeline.run(question, db)
 
     # run the two modes as adjacent pairs in alternating order and gate

@@ -15,11 +15,12 @@ Four gates plus a latency/throughput report for :mod:`repro.serve`:
    benchmark models each inner turn with a small GIL-releasing delay on
    top of the real pipeline), the concurrent 4-worker run must beat the
    serial one-at-a-time baseline over the same seeded duplicate-heavy
-   script, and micro-batch coalescing must cut upstream inner-turn
-   executions (>= 1x call-amplification reduction vs the same run with
-   coalescing disabled) without losing wall-clock throughput.  Pure
-   in-process numbers (no simulated latency) are reported alongside for
-   context — there the GIL serializes turns and the session turn memo
+   script.  A second concurrent run puts the delay inside the translate
+   stage itself, where the pipeline's turn cache sees it: identical
+   in-flight turns must wait on one leader, so the model is called at
+   least 4x less often than there are requests (``call_reduction``).
+   Pure in-process numbers (no simulated latency) are reported alongside
+   for context — there the GIL serializes turns and the turn cache
    already dedupes, so concurrency is expected to roughly break even.
 4. **Chaos** — a seeded fault storm (``install_faults``) through the
    serving path must finish with zero unhandled worker exceptions and
@@ -37,7 +38,6 @@ import json
 import os
 import random
 import sys
-import threading
 import time
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
@@ -45,6 +45,7 @@ sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from _harness import print_table
 
 from repro.data.domains import domain_by_name
+from repro.obs import metrics as obs_metrics
 from repro.data.generator import DatabaseGenerator
 from repro.resilience import clear_faults, install_faults
 from repro.serve import ServeConfig, Server
@@ -82,9 +83,9 @@ def _db(rows_per_table: int):
 class _ModelLatencySystem(NLISystem):
     """The real pipeline plus a fixed GIL-releasing delay per inner turn.
 
-    Stands in for the remote-LLM call a production translate stage makes;
-    also counts inner executions so coalescing's upstream-call savings
-    are directly observable.
+    Stands in for the remote-LLM call a production translate stage makes.
+    The delay sits outside the pipeline, so every request pays it: this
+    system measures overlap, not deduplication.
     """
 
     name = "pipeline+model-latency"
@@ -92,12 +93,8 @@ class _ModelLatencySystem(NLISystem):
     def __init__(self, delay: float) -> None:
         self.inner = PipelineSystem()
         self.delay = delay
-        self.calls = 0
-        self._lock = threading.Lock()
 
     def answer(self, question, db, knowledge=None, history=None):
-        with self._lock:
-            self.calls += 1
         if self.delay:
             time.sleep(self.delay)
         return self.inner.answer(
@@ -125,7 +122,7 @@ def _script(requests: int, sessions: int, dup_rate: float, seed: int):
 def _burst_script(rounds: int, sessions: int, seed: int):
     """Duplicate-heavy lockstep schedule: every round, all sessions ask
     the same seeded question, so identical requests are concurrently in
-    flight — the workload micro-batch coalescing exists for."""
+    flight — the workload the turn cache's singleflight exists for."""
     rng = random.Random(seed)
     script: list[tuple[str, str]] = []
     for _ in range(rounds):
@@ -141,15 +138,32 @@ def _fresh_caches() -> None:
     rescache.clear_result_cache()
 
 
-def _timed_serve(db, script, workers: int, coalesce: bool, clients: int = 8):
+def _slow_translate_system(delay: float) -> tuple[PipelineSystem, list]:
+    """A ``PipelineSystem`` whose translate stage sleeps *delay* seconds
+    per call, plus the list each call is recorded on."""
+    system = PipelineSystem()
+    calls: list[str] = []
+    pipeline = system.pipeline
+    for parser, attr in (
+        (pipeline.sql_parser, "parse"),
+        (pipeline.vis_parser, "parse_vis"),
+    ):
+        def slow(request, inner=getattr(parser, attr)):
+            calls.append(request.question)
+            time.sleep(delay)
+            return inner(request)
+
+        setattr(parser, attr, slow)
+    return system, calls
+
+
+def _timed_serve(db, script, workers: int, clients: int = 8):
     """Run *script* through a server; returns (responses, seconds)."""
     _fresh_caches()
     server = Server(
         db,
         system=PipelineSystem(),
-        config=ServeConfig(
-            workers=workers, coalesce=coalesce, session_ttl=None
-        ),
+        config=ServeConfig(workers=workers, session_ttl=None),
     )
     entries = [(sid, db.db_id, question, None) for sid, question in script]
     start = time.perf_counter()
@@ -225,7 +239,7 @@ def gate_ordering(db, requests: int, seed: int) -> dict:
     """
     script = _script(requests, sessions=6, dup_rate=0.3, seed=seed)
     direct_seconds = _timed_direct(db, script)
-    responses, seconds = _timed_serve(db, script, workers=4, coalesce=True)
+    responses, seconds = _timed_serve(db, script, workers=4)
     by_session: dict[str, list] = {}
     for response in responses:
         by_session.setdefault(response.session_id, []).append(response)
@@ -259,22 +273,19 @@ def gate_ordering(db, requests: int, seed: int) -> dict:
 MODEL_DELAY = 0.003
 
 
-def _timed_model_run(db, script, *, serial: bool, coalesce: bool):
-    """One throughput measurement under simulated model latency.
+def _timed_model_run(db, script, system, *, serial: bool):
+    """One throughput measurement of *system* under simulated latency.
 
     ``serial=True`` plays the script one request at a time (the
     pre-serving baseline); otherwise the whole script is submitted up
-    front and drained by the worker pool.  Returns wall seconds, inner
-    turn executions, and the coalesced-response count.
+    front and drained by the worker pool.  Returns wall seconds.
     """
     _fresh_caches()
-    system = _ModelLatencySystem(MODEL_DELAY)
     server = Server(
         db,
         system=system,
         config=ServeConfig(
             workers=1 if serial else 4,
-            coalesce=coalesce,
             session_ttl=None,
             max_pending=max(4096, 2 * len(script)),
             max_session_pending=max(4096, 2 * len(script)),
@@ -295,64 +306,61 @@ def _timed_model_run(db, script, *, serial: bool, coalesce: bool):
     server.shutdown()
     assert server.unhandled_errors() == []
     assert all(not r.shed for r in responses), "bench run shed requests"
-    return seconds, system.calls, sum(1 for r in responses if r.coalesced)
+    return seconds
 
 
 def gate_throughput(db, rounds: int, seed: int, smoke: bool) -> dict:
-    """Concurrent serving >= the serial baseline; coalescing >= 1x.
+    """Concurrent serving >= the serial baseline; singleflight >= 4x.
 
     Run under :data:`MODEL_DELAY` of simulated remote-model latency on a
-    duplicate-heavy lockstep burst workload.  Coalescing is judged on
-    upstream call amplification (inner turns executed with coalescing
-    off vs on — each inner turn is one model call in production) plus a
-    wall-clock floor guaranteeing the machinery pays for itself.
+    duplicate-heavy lockstep burst workload.  Serial vs concurrent wall
+    time uses the delay outside the pipeline; the call reduction
+    (requests per translate call — each is one model call in production)
+    uses a concurrent run with the delay inside the translate stage, where
+    the turn cache makes identical in-flight turns wait on one leader.
     """
     script = _burst_script(rounds, sessions=8, seed=seed)
 
-    serial_seconds, _, _ = _timed_model_run(
-        db, script, serial=True, coalesce=True
+    serial_seconds = _timed_model_run(
+        db, script, _ModelLatencySystem(MODEL_DELAY), serial=True
     )
-    concurrent_seconds, calls_on, coalesced = _timed_model_run(
-        db, script, serial=False, coalesce=True
+    concurrent_seconds = _timed_model_run(
+        db, script, _ModelLatencySystem(MODEL_DELAY), serial=False
     )
-    uncoalesced_seconds, calls_off, _ = _timed_model_run(
-        db, script, serial=False, coalesce=False
+    followers = obs_metrics.get_registry().counter(
+        "repro.pipeline.turn_cache.followers"
     )
+    followers_before = followers.value
+    system, calls = _slow_translate_system(MODEL_DELAY)
+    _timed_model_run(db, script, system, serial=False)
+    follower_turns = followers.value - followers_before
 
     serial_tps = len(script) / serial_seconds
     concurrent_tps = len(script) / concurrent_seconds
     speedup_vs_serial = concurrent_tps / serial_tps
-    call_reduction = calls_off / max(1, calls_on)
-    coalesce_wall_ratio = uncoalesced_seconds / concurrent_seconds
+    call_reduction = len(script) / max(1, len(calls))
 
-    # loaded CI runners make tight timing gates flaky: the smoke bounds
-    # are loose and the full run is the authoritative check
+    # loaded CI runners make tight timing gates flaky: the smoke bound
+    # is loose and the full run is the authoritative check
     serial_floor = 1.0 if smoke else 1.5
-    wall_floor = 0.80 if smoke else 0.90
     assert speedup_vs_serial >= serial_floor, (
         f"concurrent throughput {concurrent_tps:.1f} req/s fell below "
         f"{serial_floor:.1f}x the serial baseline {serial_tps:.1f} req/s"
     )
-    assert call_reduction >= 1.0 and calls_on <= calls_off, (
-        f"coalescing amplified upstream calls: {calls_on} on vs "
-        f"{calls_off} off"
+    assert call_reduction >= 4.0, (
+        f"only {call_reduction:.2f}x fewer model calls than requests "
+        f"({len(calls)} calls for {len(script)} requests)"
     )
-    assert coalesced >= 1, "duplicate-heavy burst coalesced nothing"
-    assert coalesce_wall_ratio >= wall_floor, (
-        f"coalescing overhead: wall ratio {coalesce_wall_ratio:.2f} "
-        f"below the {wall_floor:.2f} floor"
-    )
+    assert follower_turns >= 1, "duplicate-heavy burst had no followers"
     return {
         "requests": len(script),
         "model_delay_ms": MODEL_DELAY * 1e3,
         "serial_tps": round(serial_tps, 2),
         "concurrent_tps": round(concurrent_tps, 2),
         "speedup_vs_serial": round(speedup_vs_serial, 3),
-        "inner_calls_coalesce_on": calls_on,
-        "inner_calls_coalesce_off": calls_off,
+        "translate_calls": len(calls),
         "call_reduction": round(call_reduction, 3),
-        "coalesced_responses": coalesced,
-        "coalesce_wall_ratio": round(coalesce_wall_ratio, 3),
+        "followers": follower_turns,
     }
 
 
@@ -361,7 +369,7 @@ def gate_chaos(db, requests: int, seed: int) -> dict:
     script = _script(requests, sessions=5, dup_rate=0.3, seed=seed)
     install_faults(STORM, seed=seed)
     try:
-        responses, _ = _timed_serve(db, script, workers=4, coalesce=True)
+        responses, _ = _timed_serve(db, script, workers=4)
     finally:
         clear_faults()
     untyped = [
@@ -426,12 +434,12 @@ def main(argv=None):
                 f"{throughput['serial_tps']:.0f} req/s)",
             ),
             (
-                "coalescing",
+                "singleflight",
                 "PASS",
                 f"{throughput['call_reduction']:.2f}x fewer model calls "
-                f"({throughput['inner_calls_coalesce_on']} vs "
-                f"{throughput['inner_calls_coalesce_off']}), wall ratio "
-                f"{throughput['coalesce_wall_ratio']:.2f}",
+                f"than requests ({throughput['translate_calls']} for "
+                f"{throughput['requests']}), "
+                f"{throughput['followers']} followers",
             ),
             (
                 "chaos storm",

@@ -227,9 +227,8 @@ def _disabled_overhead(db: Database, iters: int) -> dict[str, float]:
 def _drop_metric_caches(dbs) -> None:
     clear_plan_caches()
     for db in dbs:
-        for attr in ("_variant_cache", "_gold_result_cache"):
-            if hasattr(db, attr):
-                delattr(db, attr)
+        if hasattr(db, "_variant_cache"):
+            del db._variant_cache
 
 
 def _eval_scaling(

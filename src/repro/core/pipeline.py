@@ -21,11 +21,10 @@ so a chart that could never render is rejected before its SQL even runs.
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
+from repro.core.turn_cache import TurnCache, turn_key
 from repro.data.database import Database
 from repro.data.schema import Schema
 from repro.errors import (
@@ -57,13 +56,8 @@ from repro.vis.vql import parse_vql
 _registry = _obs_metrics.get_registry()
 _RUNS = _registry.counter("repro.pipeline.runs")
 _ERRORS = _registry.counter("repro.pipeline.errors")
-_TURN_HITS = _registry.counter("repro.pipeline.turn_cache.hits")
-_TURN_MISSES = _registry.counter("repro.pipeline.turn_cache.misses")
 _DEGRADED_TURNS = _registry.counter("repro.pipeline.degraded.turns")
 _DEGRADES = _registry.counter("repro.resilience.degrades")
-
-#: per-Pipeline bound on memoized end-to-end turns
-_TURN_MEMO_MAX = 128
 
 
 def _stage_seconds(name: str) -> "_obs_metrics.Histogram":
@@ -97,7 +91,7 @@ class PipelineTrace:
     chart: Chart | None = None
     error: str | None = None
     span: object | None = None
-    #: True when this trace was replayed from the pipeline's turn memo
+    #: True when this trace was replayed from the pipeline's turn cache
     #: rather than re-running the stages (same question, same history,
     #: same database state — see :meth:`Pipeline.run`).
     cached: bool = False
@@ -228,14 +222,10 @@ class Pipeline:
         self.lint_gate = lint_gate
         self.vis_lint_gate = vis_lint_gate
         self.resilience = resilience
-        # end-to-end turn memo: (question, knowledge, history, db state) ->
-        # finished PipelineTrace; every stage is deterministic given those
-        # four, and the db-state token (per-table version stamps + object
-        # identity) retires entries on any mutation.  Guarded by a lock:
-        # one pipeline serves many concurrent sessions under repro.serve,
-        # and OrderedDict reorder-during-resize is not atomic
-        self._turn_memo: "OrderedDict[tuple, PipelineTrace]" = OrderedDict()
-        self._memo_lock = threading.Lock()
+        #: the one whole-turn cache (repro.core.turn_cache): sessions and
+        #: serve workers sharing this pipeline share it, so concurrent
+        #: identical turns run once
+        self.turn_cache = TurnCache()
         # lazy rule-based fallback parsers for the translate ladder, and
         # one Retry per retried stage (its jitter RNG advances
         # deterministically across the pipeline's lifetime)
@@ -276,55 +266,36 @@ class Pipeline:
         tracing enabled the run also emits a ``repro.pipeline.run`` span
         tree, attached to the trace as ``trace.span``.
 
-        Repeated turns memoize end-to-end: when the result cache is
-        enabled and tracing is off, an identical ``(question, knowledge,
-        history)`` against an unmutated database replays the finished
-        :class:`PipelineTrace` (marked ``cached=True``,
-        ``repro.pipeline.turn_cache.hits``) instead of re-running the
-        stages — every stage is deterministic given those inputs, and the
-        memo key carries the database's per-table version stamps so any
-        mutation misses.
+        Repeated turns are cached end-to-end: when the result cache is
+        enabled, tracing is off and no fault plan is active, an identical
+        ``(question, knowledge, history)`` against an unmutated database
+        replays the finished :class:`PipelineTrace` (marked
+        ``cached=True``) from :attr:`turn_cache` instead of re-running the
+        stages, and a concurrent identical turn waits for the one in
+        flight — see :mod:`repro.core.turn_cache`.
         """
         _RUNS.inc()
-        resilient = self.resilience is not None
-        chaos = resilient and _faults.active()
-        # under an active fault plan a turn's outcome is no longer a pure
-        # function of (question, knowledge, history, db state), so the
-        # end-to-end memo must neither serve nor store
-        memo_key = (
-            None
-            if chaos
-            else self._turn_memo_key(question, db, knowledge, history)
+        trace = self.turn_cache.get_or_compute(
+            turn_key(question, db, knowledge, history),
+            lambda: self._compute_turn(question, db, knowledge, history),
         )
-        if memo_key is not None:
-            with self._memo_lock:
-                cached = self._turn_memo.get(memo_key)
-                if cached is not None:
-                    self._turn_memo.move_to_end(memo_key)
-            if cached is not None:
-                _TURN_HITS.inc()
-                if cached.error is not None:
-                    _ERRORS.inc()
-                return self._replay_trace(cached)
-            _TURN_MISSES.inc()
-        if resilient:
+        if trace.error is not None:
+            _ERRORS.inc()
+        return trace
+
+    def _compute_turn(
+        self,
+        question: str,
+        db: Database,
+        knowledge: str | None,
+        history: list | None,
+    ) -> PipelineTrace:
+        if self.resilience is not None:
             trace = self._run_turn_resilient(question, db, knowledge, history)
         else:
             trace = self._run_turn(question, db, knowledge, history)
-        if trace.error is not None:
-            _ERRORS.inc()
         if trace.degraded:
             _DEGRADED_TURNS.inc()
-        if memo_key is not None and not trace.degraded:
-            # stash a private copy: the caller owns the returned trace and
-            # may mutate its result rows without poisoning the memo.
-            # Degraded turns are never memoized — a fallback answer must
-            # not outlive the incident that caused it.
-            private = self._replay_trace(trace)
-            with self._memo_lock:
-                self._turn_memo[memo_key] = private
-                while len(self._turn_memo) > _TURN_MEMO_MAX:
-                    self._turn_memo.popitem(last=False)
         return trace
 
     def _run_turn(
@@ -505,56 +476,6 @@ class Pipeline:
         return trace
 
     # ------------------------------------------------------------------
-    def _turn_memo_key(
-        self,
-        question: str,
-        db: Database,
-        knowledge: str | None,
-        history: list | None,
-    ) -> tuple | None:
-        """The memo key for one turn, or None when memoization must skip.
-
-        Skips when the result cache is globally disabled (one switch
-        governs all result-level reuse), when tracing is on (span trees
-        must reflect real stage work), and when the history contains
-        unhashable entries.
-        """
-        if not _rescache.rescache_enabled() or _obs_trace._ENABLED:
-            return None
-        try:
-            return (
-                question,
-                knowledge,
-                tuple(history or ()),
-                _rescache.database_state_token(db),
-            )
-        except TypeError:
-            return None
-
-    @staticmethod
-    def _replay_trace(cached: PipelineTrace) -> PipelineTrace:
-        """A fresh trace replaying *cached* (callers may mutate theirs).
-
-        Every mutable field is copied — stage records, result, chart —
-        so neither the memoized trace nor any prior replay aliases the
-        one handed out here.
-        """
-        return PipelineTrace(
-            question=cached.question,
-            stages=[replace(record) for record in cached.stages],
-            functional_expression=cached.functional_expression,
-            result=(
-                _rescache.copy_result(cached.result)
-                if cached.result is not None
-                else None
-            ),
-            chart=cached.chart.copy() if cached.chart is not None else None,
-            error=cached.error,
-            span=None,
-            cached=True,
-            degraded=list(cached.degraded),
-        )
-
     def _stage(self, trace: PipelineTrace, name: str, fn, render):
         budget = self._stage_budgets.get(name)
         start = time.perf_counter()

@@ -15,14 +15,12 @@ N times; gold and prediction results now both flow through the shared
 version-stamped result cache (:mod:`repro.sql.rescache`), whose canonical
 keys additionally collapse semantically identical spellings, on top of the
 parse/plan caches of :mod:`repro.sql.plan`.  With the result cache
-disabled (``REPRO_SQL_RESCACHE=0``) the original per-database gold cache
-— stamped by row count, dying with the database object — takes over, so
-the metric never regresses to N gold executions either way.
+disabled (``REPRO_SQL_RESCACHE=0``) or tracing on, the gold simply
+executes every time.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Union
 
 from repro.data.database import Database
@@ -31,11 +29,7 @@ from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
 from repro.sql import rescache as _rescache
 from repro.sql.executor import Result, execute
-from repro.sql.parser import parse_sql
 from repro.sql.plan import _parse_cached
-
-_GOLD_MISS = object()
-_GOLD_CACHE_MAX = 256
 
 _registry = _obs_metrics.get_registry()
 _GOLD_HITS = _registry.counter("repro.metrics.execution.gold_cache.hits")
@@ -47,47 +41,29 @@ _EXEC_MISMATCHES = _registry.counter("repro.metrics.execution.mismatches")
 def _gold_result_cached(
     gold: str, db: Database, query=None
 ) -> Union[Result, SQLError]:
-    """Execute-or-fetch the gold result on *db*; failures cache as the error.
+    """Execute-or-fetch the gold result on *db*; failures return the error.
 
-    Normally delegates to the shared result cache
-    (:mod:`repro.sql.rescache`): keyed by canonical query + per-table
-    version stamps, shared with every other ``execute()`` caller, and
-    correctly invalidated by *any* table mutation (the legacy row-count
-    stamp below cannot see same-cardinality ``replace_rows``).  The
-    legacy per-database cache remains the fallback when the result cache
-    is disabled; the gold hit/miss counters tick identically on both
-    paths.  *query* optionally supplies an already parsed AST to skip
-    the parse.
+    Delegates to the shared result cache (:mod:`repro.sql.rescache`):
+    keyed by canonical query + per-table version stamps, shared with
+    every other ``execute()`` caller, and invalidated by *any* table
+    mutation.  With the result cache disabled or tracing on, the gold
+    executes every time (each call counts as a gold-cache miss).
+    *query* optionally supplies an already parsed AST to skip the parse.
     """
+    try:
+        gold_query = query if query is not None else _parse_cached(gold)
+    except SQLError as exc:
+        _GOLD_MISSES.inc()
+        return exc
     if _rescache.rescache_enabled() and not _obs_trace._ENABLED:
-        try:
-            gold_query = query if query is not None else _parse_cached(gold)
-        except SQLError as exc:
-            _GOLD_MISSES.inc()
-            return exc
         value, hit = _rescache.execute_or_error(gold_query, db)
         (_GOLD_HITS if hit else _GOLD_MISSES).inc()
         return value
-    stamp = db.row_count()
-    cache = getattr(db, "_gold_result_cache", None)
-    if cache is None or cache[0] != stamp:
-        cache = (stamp, OrderedDict())
-        db._gold_result_cache = cache
-    store: OrderedDict = cache[1]
-    result = store.get(gold, _GOLD_MISS)
-    if result is _GOLD_MISS:
-        _GOLD_MISSES.inc()
-        try:
-            result = execute(query if query is not None else parse_sql(gold), db)
-        except SQLError as exc:
-            result = exc
-        store[gold] = result
-        if len(store) > _GOLD_CACHE_MAX:
-            store.popitem(last=False)
-    else:
-        _GOLD_HITS.inc()
-        store.move_to_end(gold)
-    return result
+    _GOLD_MISSES.inc()
+    try:
+        return execute(gold_query, db)
+    except SQLError as exc:
+        return exc
 
 
 def execution_match(predicted: str, gold: str, db: Database) -> bool:

@@ -3,8 +3,9 @@ layer the ROADMAP's heavy-traffic north star asks for.
 
 Everything under :mod:`repro.serve` is zero-dependency and built from
 the repo's own substrates: sessions wrap
-:class:`~repro.systems.session.InteractiveSession`, coalescing keys off
-:mod:`repro.sql.rescache` state tokens, deadlines ride
+:class:`~repro.systems.session.InteractiveSession`, identical concurrent
+turns collapse in the shared pipeline's :mod:`repro.core.turn_cache`
+(keyed off :mod:`repro.sql.rescache` state tokens), deadlines ride
 :mod:`repro.resilience.deadline`, and every component reports through
 :mod:`repro.obs.metrics` under ``repro.serve.*``.
 
@@ -18,15 +19,12 @@ Pieces (one module each, composed by :class:`Server`):
   sessions;
 - :mod:`repro.serve.admission` — bounded queues, typed load shedding,
   backpressure;
-- :mod:`repro.serve.batching` — singleflight micro-batching of
-  identical concurrent turns;
 - :mod:`repro.serve.server` — the worker pool tying it all together;
 - :mod:`repro.serve.cli` / :mod:`repro.serve.loadgen` — ``python -m
   repro serve`` and ``python -m repro loadgen``.
 """
 
 from repro.serve.admission import AdmissionController
-from repro.serve.batching import Coalescer
 from repro.serve.envelope import Request, Response, ShedReason, Ticket
 from repro.serve.scheduler import FairScheduler
 from repro.serve.server import ServeConfig, Server
@@ -34,7 +32,6 @@ from repro.serve.sessions import ServeSession, SessionRegistry
 
 __all__ = [
     "AdmissionController",
-    "Coalescer",
     "FairScheduler",
     "Request",
     "Response",

@@ -100,11 +100,6 @@ def main(argv: list[str] | None = None) -> int:
         help="idle seconds before a session is evicted",
     )
     parser.add_argument(
-        "--no-coalesce",
-        action="store_true",
-        help="disable duplicate-request coalescing",
-    )
-    parser.add_argument(
         "--demo",
         action="store_true",
         help="run a scripted multi-session demo and exit",
@@ -116,7 +111,6 @@ def main(argv: list[str] | None = None) -> int:
         workers=resolve_workers(args.workers, default=4),
         default_deadline=args.deadline,
         session_ttl=args.session_ttl,
-        coalesce=not args.no_coalesce,
     )
     server = Server(databases, config=config)
     db_names = ", ".join(sorted(databases))

@@ -84,9 +84,7 @@ class Response:
     ``status`` is ``"ok"`` (answered, possibly degraded), ``"error"``
     (the turn ran but failed — untranslatable question, failed SQL, or
     an unexpected worker exception), or ``"shed"`` (never fully served;
-    ``shed_reason`` says why).  ``coalesced`` marks a follower that was
-    answered by another request's identical in-flight turn
-    (:mod:`repro.serve.batching`).  ``session_seq`` is the request's
+    ``shed_reason`` says why).  ``session_seq`` is the request's
     1-based FIFO position within its session and ``completion_index``
     the global completion order — together they make per-session
     ordering externally checkable.
@@ -104,7 +102,6 @@ class Response:
     message: str = ""
     error: str | None = None
     degraded: tuple[str, ...] = ()
-    coalesced: bool = False
     session_seq: int = 0
     completion_index: int = 0
     worker: int | None = None
@@ -139,11 +136,10 @@ class Response:
             return f"{head} shed ({self.shed_reason})"
         if self.status == "error":
             return f"{head} error: {self.error}"
-        extra = " (coalesced)" if self.coalesced else ""
         if self.kind == "chart":
-            return f"{head} chart {self.vql}{extra}"
+            return f"{head} chart {self.vql}"
         if self.kind == "data":
-            return f"{head} {len(self.rows)} row(s) {self.sql}{extra}"
+            return f"{head} {len(self.rows)} row(s) {self.sql}"
         return f"{head} {self.kind}: {self.message}"
 
 

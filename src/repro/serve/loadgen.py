@@ -2,8 +2,8 @@
 
 Drives :class:`repro.serve.Server` with realistic traffic synthesized
 from any registered dataset and reports the serving numbers that matter:
-latency percentiles (p50/p95/p99), throughput, shed rate, coalescing
-effectiveness::
+latency percentiles (p50/p95/p99), throughput, shed rate, and how many
+turns waited on an identical in-flight turn (``coalesced``)::
 
     python -m repro loadgen                          # closed-loop, 8 clients
     python -m repro loadgen --rps 200 --requests 500 # open-loop at 200 req/s
@@ -36,6 +36,7 @@ import threading
 import time
 
 from repro.eval.parallel import resolve_workers
+from repro.obs.metrics import get_registry
 from repro.serve.envelope import Response, Ticket
 from repro.serve.server import ServeConfig, Server
 
@@ -66,8 +67,7 @@ def build_workload(
     conversation stays on one database); questions are drawn seeded from
     that database's own examples.  With probability *dup_rate* a request
     repeats a question already issued for the same database — the
-    duplicate-heavy traffic that exercises result caching and the
-    coalescer.
+    duplicate-heavy traffic that exercises the turn and result caches.
     """
     from repro.datasets import build_dataset
 
@@ -174,10 +174,22 @@ def run_loadgen(
     return [order[index] for index in sorted(order)]
 
 
+def _followers() -> int:
+    return get_registry().counter("repro.pipeline.turn_cache.followers").value
+
+
 def summarize(
-    responses: list[Response], wall_seconds: float, server: Server
+    responses: list[Response],
+    wall_seconds: float,
+    server: Server,
+    coalesced: int = 0,
 ) -> dict:
-    """The loadgen report: latency percentiles, throughput, shed mix."""
+    """The loadgen report: latency percentiles, throughput, shed mix.
+
+    *coalesced* is how many turns waited on an identical in-flight turn
+    instead of running it: the ``repro.pipeline.turn_cache.followers``
+    delta over the run.
+    """
     latencies = [r.total_seconds for r in responses if not r.shed]
     sheds: dict[str, int] = {}
     for response in responses:
@@ -194,7 +206,7 @@ def summarize(
             sum(1 for r in responses if r.shed) / max(1, len(responses)), 4
         ),
         "sheds_by_reason": dict(sorted(sheds.items())),
-        "coalesced": sum(1 for r in responses if r.coalesced),
+        "coalesced": coalesced,
         "degraded": sum(1 for r in responses if r.degraded),
         "wall_seconds": round(wall_seconds, 6),
         "throughput_rps": round(completed / wall_seconds, 2)
@@ -256,17 +268,6 @@ def main(argv: list[str] | None = None) -> int:
         default=256,
         help="admission bound on queued requests",
     )
-    parser.add_argument(
-        "--coalesce-window",
-        type=float,
-        default=0.0,
-        help="micro-batching window in seconds (0 = plain singleflight)",
-    )
-    parser.add_argument(
-        "--no-coalesce",
-        action="store_true",
-        help="disable duplicate-request coalescing",
-    )
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
 
@@ -279,13 +280,9 @@ def main(argv: list[str] | None = None) -> int:
         args.sessions,
         args.dup_rate,
     )
-    config = ServeConfig(
-        workers=workers,
-        max_pending=args.max_pending,
-        coalesce=not args.no_coalesce,
-        coalesce_window=args.coalesce_window,
-    )
+    config = ServeConfig(workers=workers, max_pending=args.max_pending)
     server = Server(dict(databases), config=config)
+    followers = _followers()
     start = time.monotonic()
     responses = run_loadgen(
         server,
@@ -296,7 +293,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     wall = time.monotonic() - start
     server.shutdown()
-    report = summarize(responses, wall, server)
+    report = summarize(
+        responses, wall, server, coalesced=_followers() - followers
+    )
     report["config"] = {
         "dataset": args.dataset,
         "scale": args.scale,
@@ -308,7 +307,6 @@ def main(argv: list[str] | None = None) -> int:
         "clients": args.clients,
         "dup_rate": args.dup_rate,
         "deadline": args.deadline,
-        "coalesce": not args.no_coalesce,
     }
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))

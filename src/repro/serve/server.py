@@ -1,5 +1,5 @@
 """The concurrent serving layer: ``Server`` = admission + fair scheduling
-+ worker pool + sessions + coalescing + drain.
++ worker pool + sessions + drain.
 
 One :class:`Server` multiplexes many concurrent conversations over one
 shared NLI system and a registry of databases.  The life of a request::
@@ -11,7 +11,7 @@ shared NLI system and a registry of databases.  The life of a request::
                                           │ dispatch
                                           ▼
                                worker thread: deadline push,
-                               coalescer, InteractiveSession.ask
+                               InteractiveSession.ask
                                           │
                                           ▼
                                Response on the ticket
@@ -31,11 +31,15 @@ Guarantees, in order of importance:
   :mod:`repro.serve.scheduler`;
 - **bounded memory** — bounded queues (typed shedding, see
   :mod:`repro.serve.admission`), bounded session table (LRU idle
-  eviction + TTL sweep), bounded turn memos (inherited from the session
-  layer).
+  eviction + TTL sweep), a bounded turn cache (owned by the shared
+  pipeline, see :mod:`repro.core.turn_cache`).
+
+Identical concurrent turns run once without any serving machinery: every
+session calls the one shared system, and a pipeline-backed system's turn
+cache makes a duplicate of an in-flight turn wait for its leader.
 
 Observability: ``repro.serve.*`` counters (admitted, sheds by reason,
-responses, errors, coalesce leaders/followers), callback gauges
+responses, errors), callback gauges
 (``queue.depth``, ``sessions.active``, ``workers.active``,
 ``backpressure``) and latency histograms (``queue.seconds``,
 ``service.seconds``, ``turn.seconds``).  Resilience: a request's
@@ -58,7 +62,6 @@ from repro.obs import metrics as _obs_metrics
 from repro.resilience import all_breakers
 from repro.resilience import deadline as _deadline
 from repro.serve.admission import AdmissionController, count_shed
-from repro.serve.batching import Coalescer
 from repro.serve.envelope import Request, Response, ShedReason, Ticket
 from repro.serve.scheduler import FairScheduler
 from repro.serve.sessions import ServeSession, SessionRegistry
@@ -96,10 +99,6 @@ class ServeConfig:
     default_weight: float = 1.0
     #: default per-request latency budget in seconds (None = unbounded)
     default_deadline: float | None = None
-    #: singleflight identical concurrent turns (repro.serve.batching)
-    coalesce: bool = True
-    #: micro-batching window the leader yields before executing (seconds)
-    coalesce_window: float = 0.0
     #: injectable clock (monotonic seconds), threaded everywhere
     clock: Callable[[], float] = field(default=time.monotonic)
 
@@ -149,14 +148,8 @@ class Server:
             from repro.systems.architectures import PipelineSystem
 
             system = PipelineSystem()
-        #: the shared turn executor every session's InteractiveSession
-        #: calls into — wrapped even when coalescing is disabled so the
-        #: serving path is one code path
-        self.coalescer = Coalescer(
-            system,
-            window=self.config.coalesce_window,
-            enabled=self.config.coalesce,
-        )
+        #: the shared system every session's InteractiveSession calls
+        self.system = system
 
         self._clock = self.config.clock
         self._lock = threading.Lock()
@@ -444,7 +437,7 @@ class Server:
     # ------------------------------------------------------------------
     def _make_interactive(self, db_id: str) -> InteractiveSession:
         return InteractiveSession(
-            system=self.coalescer,
+            system=self.system,
             db=self.databases[db_id],
             knowledge=self._knowledge,
         )
@@ -535,7 +528,6 @@ class Server:
                 base.shed_reason = ShedReason.DEADLINE
                 return base
 
-        self.coalescer.begin_request()
         token = None
         if remaining is not None:
             token = _deadline.push_budget(remaining, self._clock)
@@ -577,7 +569,6 @@ class Server:
         base.chart = system_response.chart
         base.message = system_response.message
         base.degraded = tuple(system_response.degraded)
-        base.coalesced = self.coalescer.was_coalesced()
         if system_response.answered:
             base.status = "ok"
         else:

@@ -3,7 +3,7 @@
 Each :class:`ServeSession` owns one conversation: a bounded FIFO queue of
 not-yet-dispatched requests, the wrapped
 :class:`~repro.systems.session.InteractiveSession` holding its history
-and turn memo, and the scheduler bookkeeping (fair-queuing finish tag,
+and transcript, and the scheduler bookkeeping (fair-queuing finish tag,
 ``running`` flag).  The registry enforces the two per-session serving
 invariants:
 
@@ -13,7 +13,7 @@ invariants:
 - **bounded lifetime** — sessions idle longer than ``ttl`` seconds are
   LRU-swept (:meth:`SessionRegistry.evict_idle`), closing their
   ``InteractiveSession`` so a long-running server does not accumulate
-  per-session memos and transcripts forever.
+  per-session histories and transcripts forever.
 
 All methods expect the server's lock to be held by the caller; the
 registry itself owns no lock (one lock per server, not two).
@@ -146,7 +146,7 @@ class SessionRegistry:
     def close(self, session_id: str) -> ServeSession | None:
         """Remove the session; returns it (with any still-queued work) so
         the server can shed the leftovers.  The wrapped interactive
-        session is closed — its memo, history, and transcript are freed —
+        session is closed — its history and transcript are freed —
         unless a turn is executing right now, in which case the worker
         that finishes it performs the close (the ``closed`` flag tells
         it to)."""

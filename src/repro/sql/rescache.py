@@ -238,10 +238,11 @@ def copy_result(result: Result) -> Result:
 
 
 def database_state_token(db: Database) -> tuple:
-    """Identity + full per-table version stamp of *db*, for memo keys.
+    """Identity + full per-table version stamp of *db*, for turn keys.
 
-    Used by the pipeline/session turn memos: any mutation of any table
-    (or swapping in a different database object) changes the token.
+    Used by the pipeline turn cache (:mod:`repro.core.turn_cache`): any
+    mutation of any table (or swapping in a different database object)
+    changes the token.
     """
     return (
         _db_token(db),

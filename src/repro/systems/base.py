@@ -44,26 +44,6 @@ class SystemResponse:
     def is_degraded(self) -> bool:
         return bool(self.degraded)
 
-    def copy(self) -> "SystemResponse":
-        """A response sharing no mutable state with this one.
-
-        The session turn memo and the serving layer's coalescer both
-        hand out copies (same discipline as ``rescache.copy_result`` /
-        ``Pipeline._replay_trace``) so a caller mutating its result rows
-        or chart cannot poison a cache or alias another transcript.
-        """
-        from dataclasses import replace
-
-        from repro.sql.rescache import copy_result
-
-        return replace(
-            self,
-            result=(
-                copy_result(self.result) if self.result is not None else None
-            ),
-            chart=self.chart.copy() if self.chart is not None else None,
-        )
-
 
 #: chart-request cue words shared by the intent classifiers
 _VIS_CUES = (

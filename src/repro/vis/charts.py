@@ -34,10 +34,9 @@ class Chart:
     def copy(self) -> "Chart":
         """A defensive copy sharing no mutable state with the original.
 
-        The turn memos (:mod:`repro.core.pipeline`,
-        :mod:`repro.systems.session`) replay charts across calls; the
-        spec is deep-copied because it nests dicts (``encoding``,
-        ``data.values``).
+        The turn cache (:mod:`repro.core.turn_cache`) replays charts
+        across calls; the spec is deep-copied because it nests dicts
+        (``encoding``, ``data.values``).
         """
         return Chart(
             chart_type=self.chart_type,

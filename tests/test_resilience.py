@@ -522,7 +522,7 @@ class TestPipelineLadders:
         assert trace.error is None
         assert trace.result.rows == warm.result.rows
         assert trace.degraded == ["execute:cached-result"]
-        assert not trace.cached  # served by the ladder, not the turn memo
+        assert not trace.cached  # served by the ladder, not the turn cache
 
     def test_execute_fault_cold_cache_fails_closed(self, shop_db):
         rescache.clear_result_cache()

@@ -1,6 +1,7 @@
 """Serving-layer tests: envelopes, admission, fair scheduling, the
-concurrent server (FIFO/fairness/coalescing/deadlines/lifecycle), the
-chaos never-raise property, and the serve/loadgen CLIs."""
+concurrent server (FIFO/fairness/singleflight/deadlines/lifecycle), the
+pipeline turn cache, the chaos never-raise property, and the
+serve/loadgen CLIs."""
 
 from __future__ import annotations
 
@@ -9,8 +10,10 @@ import time
 
 import pytest
 
+from repro.core.pipeline import PipelineTrace
+from repro.core.turn_cache import TurnCache, turn_key
+from repro.obs import metrics as obs_metrics
 from repro.serve import (
-    Coalescer,
     Request,
     Response,
     ServeConfig,
@@ -22,6 +25,7 @@ from repro.serve.scheduler import FairScheduler
 from repro.serve.sessions import ServeSession
 from repro.sql.executor import Result
 from repro.systems.base import NLISystem, SystemResponse
+from repro.vis.charts import Chart
 
 
 class ScriptedSystem(NLISystem):
@@ -49,6 +53,28 @@ class ScriptedSystem(NLISystem):
             sql=f"-- {question}",
             result=Result(columns=["q"], rows=[(question,)]),
         )
+
+
+def slow_translate(system, delay: float) -> list[str]:
+    """Make a ``PipelineSystem``'s translate stage sleep *delay* seconds
+    (a remote-model call); returns the list its calls are recorded on."""
+    calls: list[str] = []
+    pipeline = system.pipeline
+    for parser, attr in (
+        (pipeline.sql_parser, "parse"),
+        (pipeline.vis_parser, "parse_vis"),
+    ):
+        def slow(request, inner=getattr(parser, attr)):
+            calls.append(request.question)
+            time.sleep(delay)
+            return inner(request)
+
+        setattr(parser, attr, slow)
+    return calls
+
+
+def counter(name: str) -> int:
+    return obs_metrics.get_registry().counter(name).value
 
 
 def make_server(db, system=None, **config_kwargs) -> Server:
@@ -351,32 +377,22 @@ class TestConcurrentServing:
         server.shutdown()
 
     def test_identical_concurrent_requests_coalesce(self, sales_db):
-        system = ScriptedSystem(delay=0.03)
-        server = make_server(
-            sales_db, system, workers=4, coalesce_window=0.01
-        )
+        from repro.systems.architectures import PipelineSystem
+
+        system = PipelineSystem()
+        calls = slow_translate(system, 0.05)
+        server = make_server(sales_db, system, workers=4)
         tickets = [
-            server.submit("same question", session_id=f"c{i}")
+            server.submit("how many products are there", session_id=f"c{i}")
             for i in range(8)
         ]
         responses = [t.result(timeout=30) for t in tickets]
+        server.shutdown()
         assert all(r.ok for r in responses)
-        assert all(r.rows == [("same question",)] for r in responses)
-        assert len(system.calls) < 8  # at least one execution was saved
-        assert any(r.coalesced for r in responses)
-        server.shutdown()
-
-    def test_coalescing_disabled_runs_every_turn(self, sales_db):
-        system = ScriptedSystem(delay=0.01)
-        server = make_server(sales_db, system, workers=4, coalesce=False)
-        tickets = [
-            server.submit("same question", session_id=f"c{i}")
-            for i in range(6)
-        ]
-        responses = [t.result(timeout=30) for t in tickets]
-        assert all(r.ok and not r.coalesced for r in responses)
-        assert len(system.calls) == 6
-        server.shutdown()
+        assert len({tuple(r.rows) for r in responses}) == 1
+        assert len(calls) == 1  # one leader translated for all eight
+        assert counter("repro.pipeline.turn_cache.followers") >= 1
+        assert len({id(r.result) for r in responses}) == 8
 
     def test_failed_leader_does_not_poison_followers(self, sales_db):
         system = ScriptedSystem(delay=0.02, fail_on="boom")
@@ -478,42 +494,200 @@ class TestConcurrentServing:
 
 
 # ----------------------------------------------------------------------
-# coalescer unit behaviour
+# turn cache unit behaviour
 # ----------------------------------------------------------------------
-class TestCoalescer:
-    def test_bypasses_under_active_faults(self, sales_db):
-        from repro.resilience import clear_faults, install_faults
+def _trace(question: str = "q", degraded: tuple = ()) -> PipelineTrace:
+    return PipelineTrace(
+        question=question,
+        result=Result(columns=["q"], rows=[(question,)]),
+        chart=Chart("bar", "x", "y", [(question, 1)], spec={"mark": "bar"}),
+        degraded=list(degraded),
+    )
 
-        system = ScriptedSystem()
-        coalescer = Coalescer(system)
+
+def _wait_for(predicate, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out waiting"
+        time.sleep(0.001)
+
+
+def _run_concurrently(cache, key, compute, threads: int) -> list:
+    """*threads* callers of one key: the first leads and its compute
+    blocks until every other caller is waiting on it as a follower."""
+    out: list = []
+    errors: list = []
+    release = threading.Event()
+
+    def leader_compute():
+        release.wait(10)
+        return compute()
+
+    def call(fn):
+        try:
+            out.append(cache.get_or_compute(key, fn))
+        except Exception as exc:
+            errors.append(exc)
+
+    leader = threading.Thread(target=call, args=(leader_compute,))
+    leader.start()
+    _wait_for(lambda: key in cache._inflight)
+    followers = [
+        threading.Thread(target=call, args=(compute,))
+        for _ in range(threads - 1)
+    ]
+    for thread in followers:
+        thread.start()
+    _wait_for(
+        lambda: counter("repro.pipeline.turn_cache.followers") == threads - 1
+    )
+    release.set()
+    for thread in [leader] + followers:
+        thread.join(timeout=10)
+    return out + errors
+
+
+class TestTurnCache:
+    def test_followers_get_private_copies(self):
+        cache = TurnCache()
+        calls: list[int] = []
+
+        def compute():
+            calls.append(1)
+            return _trace()
+
+        out = _run_concurrently(cache, ("k",), compute, threads=4)
+        assert len(calls) == 1 and len(out) == 4
+        assert sum(1 for t in out if t.cached) == 3  # the followers
+        assert all(t.result.rows == [("q",)] for t in out)
+        for attr in (
+            lambda t: t.result,
+            lambda t: t.result.rows,
+            lambda t: t.chart,
+            lambda t: t.chart.points,
+            lambda t: t.chart.spec,
+        ):
+            assert len({id(attr(t)) for t in out}) == 4
+        out[0].result.rows.clear()
+        out[0].chart.points.clear()
+        replay = cache.get_or_compute(("k",), compute)
+        assert replay.result.rows and replay.chart.points
+        assert counter("repro.pipeline.turn_cache.hits") == 1
+
+    def test_raising_leader_frees_followers(self):
+        cache = TurnCache()
+        calls: list[int] = []
+
+        def compute():
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("leader failed")
+            return _trace()
+
+        out = _run_concurrently(cache, ("k",), compute, threads=3)
+        assert sum(isinstance(o, RuntimeError) for o in out) == 1
+        traces = [o for o in out if isinstance(o, PipelineTrace)]
+        assert len(traces) == 2 and not any(t.cached for t in traces)
+        assert len(calls) == 3  # each follower computed its own turn
+        assert cache._inflight == {}
+
+    def test_degraded_leader_is_neither_stored_nor_shared(self):
+        cache = TurnCache()
+        calls: list[int] = []
+
+        def compute():
+            calls.append(1)
+            return _trace(degraded=("translate:rule-fallback",))
+
+        out = _run_concurrently(cache, ("k",), compute, threads=3)
+        assert len(calls) == 3 and not any(t.cached for t in out)
+        assert len(cache) == 0
+        cache.get_or_compute(("k",), compute)
+        assert len(calls) == 4
+
+    def test_turn_key_bypasses(self, sales_db):
+        from repro.obs import trace as obs_trace
+        from repro.resilience import clear_faults, install_faults
+        from repro.sql import rescache
+
+        assert turn_key("q", sales_db, None, [("a", 1)]) is not None
+        assert turn_key("q", sales_db, None, [("a", [1])]) is None
         install_faults("execute:error:p=0.5", seed=1)
         try:
-            coalescer.begin_request()
-            response = coalescer.answer("q", sales_db)
-            assert response.question == "q"
-            assert not coalescer.was_coalesced()
+            assert turn_key("q", sales_db, None, None) is None
         finally:
             clear_faults()
+        with obs_trace.tracing():
+            assert turn_key("q", sales_db, None, None) is None
+        previous = rescache.set_rescache_enabled(False)
+        try:
+            assert turn_key("q", sales_db, None, None) is None
+        finally:
+            rescache.set_rescache_enabled(previous)
+        assert turn_key("q", sales_db, None, None) is not None
 
-    def test_follower_gets_a_copy_not_the_same_object(self, sales_db):
-        system = ScriptedSystem(delay=0.05)
-        coalescer = Coalescer(system)
-        out: list[SystemResponse] = []
+    def test_none_key_always_computes(self):
+        cache = TurnCache()
+        calls: list[int] = []
 
-        def run():
-            coalescer.begin_request()
-            out.append(coalescer.answer("dup", sales_db))
+        def compute():
+            calls.append(1)
+            return _trace()
 
-        threads = [threading.Thread(target=run) for _ in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-        assert len(out) == 3
-        assert len(system.calls) < 3
-        rows = [tuple(r.result.rows) for r in out]
-        assert len(set(rows)) == 1
-        assert len({id(r.result) for r in out}) == 3  # no shared aliases
+        for _ in range(3):
+            assert not cache.get_or_compute(None, compute).cached
+        assert len(calls) == 3 and len(cache) == 0
+
+    def test_lru_bound(self):
+        cache = TurnCache()
+        cache.maxsize = 2
+        calls: list[str] = []
+
+        def compute_for(key):
+            def compute():
+                calls.append(key)
+                return _trace(key)
+
+            return compute
+
+        for key in ("a", "b", "a", "c"):  # "a" refreshed, so "b" evicts
+            cache.get_or_compute((key,), compute_for(key))
+        assert len(cache) == 2 and calls == ["a", "b", "c"]
+        assert cache.get_or_compute(("a",), compute_for("a")).cached
+        assert not cache.get_or_compute(("b",), compute_for("b")).cached
+        cache.clear()
+        assert len(cache) == 0
+
+    def test_hammer_computes_each_key_once(self):
+        cache = TurnCache()
+        computed: dict[str, int] = {}
+        lock = threading.Lock()
+        keys = [f"k{i}" for i in range(6)]
+
+        def compute_for(key):
+            def compute():
+                with lock:
+                    computed[key] = computed.get(key, 0) + 1
+                time.sleep(0.002)
+                return _trace(key)
+
+            return compute
+
+        out: list[PipelineTrace] = []
+
+        def worker(offset: int) -> None:
+            for i in range(60):
+                key = keys[(i + offset) % len(keys)]
+                out.append(cache.get_or_compute((key,), compute_for(key)))
+
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert computed == {key: 1 for key in keys}
+        assert len(out) == 8 * 60
+        assert all(t.result.rows == [(t.question,)] for t in out)
 
 
 # ----------------------------------------------------------------------

@@ -423,10 +423,10 @@ class TestConsumers:
 
     def test_session_replays_after_reset(self, sales_db):
         from repro.obs import metrics as obs_metrics
-        from repro.systems import ParsingBasedSystem
+        from repro.systems import PipelineSystem
         from repro.systems.session import InteractiveSession
 
-        session = InteractiveSession(system=ParsingBasedSystem(), db=sales_db)
+        session = InteractiveSession(system=PipelineSystem(), db=sales_db)
         question = "Show the name of products?"
         first = session.ask(question)
         session.reset()
@@ -434,8 +434,52 @@ class TestConsumers:
         assert first.answered and second.answered
         assert second.sql == first.sql
         snapshot = obs_metrics.get_registry().snapshot()
-        assert snapshot["repro.session.turn_cache.hits"] == 1
+        assert snapshot["repro.pipeline.turn_cache.hits"] == 1
         assert len(session.transcript) == 1 and len(session.history) == 1
+
+    def test_session_does_not_replay_a_turn_run_under_faults(self, sales_db):
+        # a chart turn whose translation was corrupted by a fault plan
+        # errors; once the plan is cleared the same session must draw the
+        # chart rather than replay the incident's error
+        from repro.resilience import clear_faults, install_faults
+        from repro.systems import PipelineSystem
+        from repro.systems.session import InteractiveSession
+
+        session = InteractiveSession(system=PipelineSystem(), db=sales_db)
+        question = "Draw a bar chart of the number of orders per quarter?"
+        install_faults("translate:corrupt:every=1", seed=1)
+        try:
+            broken = session.ask(question)
+        finally:
+            clear_faults()
+        assert not broken.answered
+        healed = session.ask(question)
+        assert healed.kind == "chart" and healed.chart.points
+
+    @pytest.mark.parametrize("mode", ["tracing", "rescache-off"])
+    def test_gold_sees_same_size_replace_rows(self, shop_db, mode):
+        # the gold result must follow a mutation that keeps the row count
+        from repro.metrics.execution import execution_match
+        from repro.obs import trace as obs_trace
+
+        gold = "SELECT name FROM products WHERE price > 5"
+        products = shop_db.table("products")
+        if mode == "tracing":
+            obs_trace.enable()
+        previous = rescache.set_rescache_enabled(mode != "rescache-off")
+        try:
+            assert execution_match(gold, gold, shop_db)
+            products.replace_rows(
+                [(i, f"item{i}", "tools", 50.0) for i in range(1, 5)]
+            )
+            predicted = (
+                "SELECT name FROM products WHERE name IN "
+                "('item1', 'item2', 'item3', 'item4')"
+            )
+            assert execution_match(predicted, gold, shop_db)
+        finally:
+            rescache.set_rescache_enabled(previous)
+            obs_trace.disable()
 
     def test_gold_missing_table_scores_false(self, shop_db):
         # a gold referencing an absent table used to crash evaluation
@@ -466,10 +510,10 @@ class TestConsumers:
         assert third.chart is not second.chart
 
     def test_session_memo_not_poisoned(self, sales_db):
-        from repro.systems import ParsingBasedSystem
+        from repro.systems import PipelineSystem
         from repro.systems.session import InteractiveSession
 
-        session = InteractiveSession(system=ParsingBasedSystem(), db=sales_db)
+        session = InteractiveSession(system=PipelineSystem(), db=sales_db)
         question = "Show the name of products?"
         first = session.ask(question)
         session.reset()
@@ -484,10 +528,10 @@ class TestConsumers:
         assert third.result.rows and first.result.rows
 
     def test_session_chart_memo_not_poisoned(self, sales_db):
-        from repro.systems import ParsingBasedSystem
+        from repro.systems import PipelineSystem
         from repro.systems.session import InteractiveSession
 
-        session = InteractiveSession(system=ParsingBasedSystem(), db=sales_db)
+        session = InteractiveSession(system=PipelineSystem(), db=sales_db)
         question = "Draw a bar chart of the number of orders per quarter?"
         first = session.ask(question)
         assert first.chart is not None
@@ -501,15 +545,16 @@ class TestConsumers:
 
     def test_session_memo_respects_history(self, sales_db):
         from repro.obs import metrics as obs_metrics
-        from repro.systems import ParsingBasedSystem
+        from repro.systems import PipelineSystem
         from repro.systems.session import InteractiveSession
 
-        session = InteractiveSession(system=ParsingBasedSystem(), db=sales_db)
+        session = InteractiveSession(system=PipelineSystem(), db=sales_db)
         question = "Show the name of products?"
         session.ask(question)
         session.ask(question)  # history grew: different conversation state
         snapshot = obs_metrics.get_registry().snapshot()
-        assert snapshot["repro.session.turn_cache.hits"] == 0
+        assert snapshot["repro.pipeline.turn_cache.hits"] == 0
+        assert snapshot["repro.pipeline.turn_cache.misses"] == 2
 
 
 # ----------------------------------------------------------------------
