@@ -21,7 +21,6 @@ from repro.parsers.vis.base import VisParser, detect_chart_type
 from repro.parsers.vis.llm import Chat2VisParser
 from repro.resilience import ResiliencePolicy
 from repro.sql.ast import Query
-from repro.sql.parser import parse_sql
 
 
 @dataclass
@@ -142,13 +141,8 @@ class NaturalLanguageInterface:
             history=list(self.history),
         )
         answer = Answer(trace=trace)
-        if trace.succeeded and trace.chart is None and trace.functional_expression:
-            try:
-                self.history.append(
-                    (question, parse_sql(trace.functional_expression))
-                )
-            except Exception:
-                pass
+        if trace.succeeded and trace.query is not None:
+            self.history.append((question, trace.query))
         return answer
 
     def reset(self) -> None:

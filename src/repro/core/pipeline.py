@@ -51,7 +51,7 @@ from repro.sql.unparser import to_sql
 from repro.systems.base import wants_visualization
 from repro.vis.charts import Chart, render_chart
 from repro.vis.lint.gate import VisGateDecision, VisLintGate
-from repro.vis.vql import parse_vql
+from repro.vis.vql import VQLQuery, parse_vql
 
 _registry = _obs_metrics.get_registry()
 _RUNS = _registry.counter("repro.pipeline.runs")
@@ -87,6 +87,10 @@ class PipelineTrace:
     question: str
     stages: list[StageRecord] = field(default_factory=list)
     functional_expression: str | None = None
+    #: a query turn's chosen SQL as an AST (``functional_expression`` is
+    #: its text), so consumers such as session history never parse the
+    #: text back; None on chart turns and when translation failed
+    query: Query | None = None
     result: Result | None = None
     chart: Chart | None = None
     error: str | None = None
@@ -383,6 +387,8 @@ class Pipeline:
             if vql is None:
                 trace.error = "translation failed"
                 return trace
+            # the program the gate parsed, so render does not parse again
+            program = None
             if self.vis_lint_gate is not None:
                 decision = self._stage(
                     trace,
@@ -392,11 +398,14 @@ class Pipeline:
                 )
                 if decision.chosen is not None:
                     vql = decision.chosen
+                program = decision.program
             trace.functional_expression = vql
             chart = self._stage(
                 trace,
                 "execute",
-                lambda: self._render_chart(vql, db, trace),
+                lambda: self._render_chart(
+                    vql if program is None else program, db, trace
+                ),
                 render=lambda c: (
                     f"chart with {len(c.points)} points"
                     if c is not None
@@ -423,10 +432,7 @@ class Pipeline:
                 return trace
             trace.chart = chart
             self._stage(
-                trace,
-                "present",
-                lambda: chart.to_ascii(width=24).splitlines()[0],
-                render=str,
+                trace, "present", chart.title_line, render=str
             )
             return trace
 
@@ -442,6 +448,8 @@ class Pipeline:
             trace.error = "translation failed"
             return trace
         query = parse_result.query
+        # the translate stage's output is already this query's SQL text
+        translated_sql = trace.stages[-1].output
         if self.lint_gate is not None:
             candidates = [query] + [
                 c for c in parse_result.candidates if c != query
@@ -454,7 +462,10 @@ class Pipeline:
             )
             if decision.chosen is not None:
                 query = decision.chosen
-        trace.functional_expression = to_sql(query)
+        trace.functional_expression = (
+            translated_sql if query is parse_result.query else to_sql(query)
+        )
+        trace.query = query
         result = self._stage(
             trace,
             "execute",
@@ -478,14 +489,16 @@ class Pipeline:
     # ------------------------------------------------------------------
     def _stage(self, trace: PipelineTrace, name: str, fn, render):
         budget = self._stage_budgets.get(name)
+        traced = _obs_trace._ENABLED
         start = time.perf_counter()
         if budget is not None:
             token = _deadline.push_budget(budget, self.resilience.clock)
         try:
-            if _obs_trace._ENABLED:
+            if traced:
                 with _obs_trace.span(f"repro.pipeline.stage.{name}") as span:
                     value = fn()
-                    span.set_attr("output", render(value))
+                    output = render(value)
+                    span.set_attr("output", output)
             else:
                 value = fn()
         finally:
@@ -493,8 +506,10 @@ class Pipeline:
                 _deadline.pop_budget(token)
         seconds = time.perf_counter() - start
         _stage_seconds(name).observe(seconds)
+        if not traced:
+            output = render(value)
         trace.stages.append(
-            StageRecord(stage=name, output=render(value), seconds=seconds)
+            StageRecord(stage=name, output=output, seconds=seconds)
         )
         return value
 
@@ -682,7 +697,7 @@ class Pipeline:
         return None
 
     def _render_chart(
-        self, vql: str, db: Database, trace: PipelineTrace
+        self, vql: VQLQuery | str, db: Database, trace: PipelineTrace
     ) -> Chart | None:
         if self.resilience is None:
             try:
@@ -703,7 +718,8 @@ class Pipeline:
             # underlying SQL and surface the rows without the chart; the
             # caller presents them like a query turn.
             try:
-                result = execute(parse_vql(vql).query, db)
+                program = parse_vql(vql) if isinstance(vql, str) else vql
+                result = execute(program.query, db)
             except ReproError:
                 self._mark_degraded(trace, "render:failed")
                 return None

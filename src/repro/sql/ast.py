@@ -1,8 +1,12 @@
 """Typed abstract syntax tree for the SQL subset.
 
-All nodes are immutable (frozen dataclasses) so they can be hashed, used as
-dictionary keys by the metrics, and shared safely between parser outputs and
-dataset generators.  Collections inside nodes are tuples for the same reason.
+All nodes are immutable, slotted frozen dataclasses, so they can be hashed,
+used as dictionary keys by the metrics and the plan/result caches, and shared
+safely between parser outputs, dataset generators and session histories.
+Collections inside nodes are tuples for the same reason.  Equality is by
+value; :class:`Literal` compares its value *type-exactly*, so ``1``, ``1.0``
+and ``TRUE`` are three different programs even though Python's ``1 == 1.0
+== True``.
 
 The two top-level node kinds are :class:`Select` and :class:`SetOperation`;
 ``Query`` is their union type alias.
@@ -35,14 +39,28 @@ class Expr(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Literal(Expr):
-    """A constant value: number, string, boolean, or NULL."""
+    """A constant value: number, string, boolean, or NULL.
+
+    Equality and hash are type-exact: ``SELECT 1``, ``SELECT 1.0`` and
+    ``SELECT TRUE`` differ in output column name and value type, so value-
+    keyed caches (plan, result-key, turn history) must never alias them.
+    """
 
     value: Value
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Literal:
+            return NotImplemented
+        mine, theirs = self.value, other.value
+        return mine.__class__ is theirs.__class__ and mine == theirs
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return hash((self.value.__class__, self.value))
+
+
+@dataclass(frozen=True, slots=True)
 class ColumnRef(Expr):
     """A reference to a column, optionally qualified by table name or alias."""
 
@@ -55,14 +73,14 @@ class ColumnRef(Expr):
         return (table, self.column.lower())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Star(Expr):
     """The ``*`` projection, optionally qualified (``t.*``)."""
 
     table: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FuncCall(Expr):
     """A function application, e.g. ``COUNT(DISTINCT name)``."""
 
@@ -75,7 +93,7 @@ class FuncCall(Expr):
         return self.name.lower() in AGGREGATE_FUNCTIONS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinaryOp(Expr):
     """Binary operation: arithmetic, comparison, or AND/OR."""
 
@@ -84,7 +102,7 @@ class BinaryOp(Expr):
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnaryOp(Expr):
     """Unary operation: ``NOT expr`` or ``-expr``."""
 
@@ -92,7 +110,7 @@ class UnaryOp(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Between(Expr):
     """``expr [NOT] BETWEEN low AND high``."""
 
@@ -102,7 +120,7 @@ class Between(Expr):
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InList(Expr):
     """``expr [NOT] IN (v1, v2, ...)``."""
 
@@ -111,7 +129,7 @@ class InList(Expr):
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InSubquery(Expr):
     """``expr [NOT] IN (SELECT ...)``."""
 
@@ -120,7 +138,7 @@ class InSubquery(Expr):
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Like(Expr):
     """``expr [NOT] LIKE pattern`` with ``%`` and ``_`` wildcards."""
 
@@ -129,7 +147,7 @@ class Like(Expr):
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IsNull(Expr):
     """``expr IS [NOT] NULL``."""
 
@@ -137,7 +155,7 @@ class IsNull(Expr):
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exists(Expr):
     """``[NOT] EXISTS (SELECT ...)``."""
 
@@ -145,14 +163,14 @@ class Exists(Expr):
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScalarSubquery(Expr):
     """A parenthesized subquery used as a scalar expression."""
 
     query: "Query"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectItem(Node):
     """One projection item: expression plus optional alias."""
 
@@ -160,7 +178,7 @@ class SelectItem(Node):
     alias: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderItem(Node):
     """One ORDER BY item: expression plus direction."""
 
@@ -168,7 +186,7 @@ class OrderItem(Node):
     descending: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableRef(Node):
     """A base-table reference with optional alias."""
 
@@ -181,7 +199,7 @@ class TableRef(Node):
         return (self.alias or self.name).lower()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Join(Node):
     """A join between a from-clause prefix and one more table."""
 
@@ -194,8 +212,42 @@ class Join(Node):
 FromClause = Union[TableRef, Join]
 
 
-@dataclass(frozen=True)
-class Select(Node):
+class _QueryNode(Node):
+    """Base of the top-level query nodes: remembers its structural hash.
+
+    A query AST is hashed by every value-keyed cache it meets (the plan
+    cache, the result-key memo, the turn key through session history),
+    and the generated dataclass hash walks the whole tree each time.
+    :func:`_cached_hash` keeps the first hash in a slot that is not a
+    dataclass field, so it is neither compared nor pickled (string hashes
+    differ between processes; an unpickled or copied node starts without
+    one).
+    """
+
+    __slots__ = ("_hash",)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", None)
+
+
+def _cached_hash(cls):
+    """Make *cls*'s generated field hash run once per object."""
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        value = getattr(self, "_hash", None)
+        if value is None:
+            value = field_hash(self)
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_cached_hash
+@dataclass(frozen=True, slots=True)
+class Select(_QueryNode):
     """A single SELECT block."""
 
     items: tuple[SelectItem, ...]
@@ -208,8 +260,9 @@ class Select(Node):
     distinct: bool = False
 
 
-@dataclass(frozen=True)
-class SetOperation(Node):
+@_cached_hash
+@dataclass(frozen=True, slots=True)
+class SetOperation(_QueryNode):
     """``left UNION [ALL] | INTERSECT | EXCEPT right``."""
 
     op: str

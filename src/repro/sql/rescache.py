@@ -142,15 +142,19 @@ def _db_token(db: Database):
     return token
 
 
-#: id(query) -> (canonical text, name signature, referenced table names).
-#: The parse cache returns one AST object per SQL string, so the hit path
-#: almost never recomputes the canonical key; entries die with the AST.
-_KEY_MEMO: dict[int, tuple] = {}
-_KEY_MEMO_MAX = 16384  # backstop for un-collected ASTs; recompute is cheap
+#: query AST (by value) -> (canonical text, name signature, referenced
+#: table names).  AST equality is structural and type-exact, so equal
+#: ASTs always share one canonical key and the fresh AST a parser builds
+#: for a repeated question hits.  Bounded, oldest entry evicted first,
+#: and emptied by :func:`clear_result_cache`.  Reads take no lock: a hit
+#: is one dict probe on the query's cached hash, while an LRU touch would
+#: need the lock on every hit.
+_KEY_MEMO: dict[Query, tuple] = {}
+_KEY_MEMO_MAX = 512  # the plan cache's default bound
 
 
 def _query_key_info(query: Query) -> tuple:
-    info = _KEY_MEMO.get(id(query))
+    info = _KEY_MEMO.get(query)
     if info is not None:
         return info
     text, signature = canonical_cache_key(query)
@@ -160,13 +164,10 @@ def _query_key_info(query: Query) -> tuple:
         )
     )
     info = (text, signature, names)
-    try:
-        weakref.finalize(query, _KEY_MEMO.pop, id(query), None)
-    except TypeError:  # pragma: no cover - AST nodes are weakref-able
-        return info
-    if len(_KEY_MEMO) >= _KEY_MEMO_MAX:
-        _KEY_MEMO.clear()
-    _KEY_MEMO[id(query)] = info
+    with _LOCK:
+        _KEY_MEMO[query] = info
+        if len(_KEY_MEMO) > _KEY_MEMO_MAX:
+            del _KEY_MEMO[next(iter(_KEY_MEMO))]
     return info
 
 
@@ -445,10 +446,11 @@ def configure_result_cache(max_bytes: int | None = None) -> None:
 
 
 def clear_result_cache() -> None:
-    """Drop every entry and zero the effectiveness counters."""
+    """Drop every entry (and the key memo) and zero the counters."""
     global _BYTES
     with _LOCK:
         _CACHE.clear()
+        _KEY_MEMO.clear()
         _BYTES = 0
         _HITS.reset()
         _MISSES.reset()

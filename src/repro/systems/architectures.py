@@ -69,18 +69,24 @@ class _ParserBackedSystem(NLISystem):
                     f"rephrase it? ({result.notes})"
                 ),
             )
-        sql = to_sql(result.query)
+        query = result.query
+        sql = to_sql(query)
         try:
-            rows = execute(result.query, db)
+            rows = execute(query, db)
         except SQLError as exc:
             return SystemResponse(
                 question=request.question,
                 kind="error",
                 sql=sql,
+                query=query,
                 message=f"the translated query failed: {exc}",
             )
         return SystemResponse(
-            question=request.question, kind="data", sql=sql, result=rows
+            question=request.question,
+            kind="data",
+            sql=sql,
+            query=query,
+            result=rows,
         )
 
     def _answer_vis(
@@ -97,7 +103,8 @@ class _ParserBackedSystem(NLISystem):
                 ),
             )
         try:
-            chart = render_chart(vql_text, db)
+            program = parse_vql(vql_text)
+            chart = render_chart(program, db)
         except ReproError as exc:
             return SystemResponse(
                 question=request.question,
@@ -109,7 +116,8 @@ class _ParserBackedSystem(NLISystem):
             question=request.question,
             kind="chart",
             vql=vql_text,
-            sql=to_sql(parse_vql(vql_text).query),
+            sql=to_sql(program.query),
+            query=program.query,
             chart=chart,
         )
 
@@ -240,6 +248,7 @@ class EndToEndSystem(_ParserBackedSystem):
                 question=request.question,
                 kind="clarification",
                 sql=response.sql,
+                query=response.query,
                 message=(
                     "I am not confident in my translation; could you "
                     "rephrase the question?"
@@ -329,6 +338,7 @@ class PipelineSystem(NLISystem):
                 kind="data",
                 sql=None if is_vis_turn else trace.functional_expression,
                 vql=trace.functional_expression if is_vis_turn else None,
+                query=trace.query,
                 result=trace.result,
                 degraded=degraded,
             )
@@ -336,6 +346,7 @@ class PipelineSystem(NLISystem):
             question=question,
             kind="error",
             sql=trace.functional_expression,
+            query=trace.query,
             message=trace.error or "the pipeline produced no answer",
             degraded=degraded,
         )

@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass
 
 from repro.data.database import Database
+from repro.sql.ast import Query
 from repro.sql.executor import Result
 from repro.vis.charts import Chart
 
@@ -25,6 +26,11 @@ class SystemResponse:
     kind: str  # "data" | "chart" | "clarification" | "error"
     sql: str | None = None
     vql: str | None = None
+    #: ``sql`` as the AST that ran — what a session appends to history,
+    #: so an answered turn's program is never parsed back from text.
+    #: None for systems that only return text (the session then parses
+    #: ``sql`` itself) and whenever ``sql`` is None.
+    query: Query | None = None
     result: Result | None = None
     chart: Chart | None = None
     message: str = ""

@@ -1,8 +1,10 @@
 """Interactive multi-turn sessions (the feedback loop of Fig. 1).
 
 ``InteractiveSession`` wraps any system with conversation state: each
-answered query's (question, SQL) pair becomes history for the next turn,
-so follow-ups ("now only the ones whose ...") resolve against context —
+answered query's (question, query AST) pair becomes history for the next
+turn — the AST the system executed, carried on ``SystemResponse.query``,
+so a turn's program is never parsed back from its SQL text — and
+follow-ups ("now only the ones whose ...") resolve against context —
 the SParC/CoSQL interaction pattern.  ``refine`` implements the Fig. 1
 feedback edge: the user reacts to an answer, and the reaction is treated
 as the next turn.
@@ -82,10 +84,14 @@ class InteractiveSession:
             )
         self.transcript.append(response)
         if response.answered and response.sql:
-            try:
-                self.history.append((question, parse_sql(response.sql)))
-            except SQLError:
-                pass
+            query = response.query
+            if query is None:
+                # a system that returns text only
+                try:
+                    query = parse_sql(response.sql)
+                except SQLError:
+                    return response
+            self.history.append((question, query))
         return response
 
     def refine(self, feedback: str) -> SystemResponse:

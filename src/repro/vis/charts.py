@@ -55,11 +55,32 @@ class Chart:
             return self._ascii_scatter(width)
         return self._ascii_bars(width)
 
+    def title_line(self) -> str:
+        """The first line of :meth:`to_ascii` (at any width), undrawn.
+
+        The pipeline's present stage reports this one line per chart turn;
+        it needs no bars or grid, only which header the drawing would
+        start with.
+        """
+        if not self.points:
+            header = f"[{self.chart_type} chart: no data]"
+        elif self.chart_type == "scatter":
+            header = (
+                f"{self.y_label} vs {self.x_label} (scatter)"
+                if any(
+                    _is_number(x) and _is_number(y) for x, y in self.points
+                )
+                else "[scatter chart: no numeric points]"
+            )
+        elif any(_is_number(y) for _, y in self.points):
+            header = f"{self.y_label} by {self.x_label} ({self.chart_type})"
+        else:
+            header = f"[{self.chart_type} chart: no numeric values]"
+        return header.splitlines()[0]
+
     def _ascii_bars(self, width: int) -> str:
         numeric = [
-            (str(x), float(y))
-            for x, y in self.points
-            if isinstance(y, (int, float)) and not isinstance(y, bool)
+            (str(x), float(y)) for x, y in self.points if _is_number(y)
         ]
         if not numeric:
             return f"[{self.chart_type} chart: no numeric values]"
@@ -75,8 +96,7 @@ class Chart:
         numeric = [
             (float(x), float(y))
             for x, y in self.points
-            if isinstance(x, (int, float)) and isinstance(y, (int, float))
-            and not isinstance(x, bool) and not isinstance(y, bool)
+            if _is_number(x) and _is_number(y)
         ]
         if not numeric:
             return "[scatter chart: no numeric points]"
@@ -97,8 +117,16 @@ class Chart:
         return "\n".join(lines)
 
 
+def _is_number(value: Value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def render_chart(vql: VQLQuery | str, db: Database) -> Chart:
-    """Execute a VQL program against *db* and build its :class:`Chart`."""
+    """Execute a VQL program against *db* and build its :class:`Chart`.
+
+    Pass the parsed :class:`VQLQuery` when the caller already has it (the
+    vis lint gate does): text is parsed here, a program is used as is.
+    """
     if isinstance(vql, str):
         vql = parse_vql(vql)
     query = vql.query

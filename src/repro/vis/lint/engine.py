@@ -34,14 +34,17 @@ class VisLintReport(LintReport):
     """One vis lint run: SQL + vis diagnostics plus the inferred schema.
 
     Extends :class:`~repro.sql.lint.diagnostics.LintReport` with the VQL
-    source text and the static :class:`~repro.sql.typer.ResultSchema` the
-    V-rules judged (None when the VQL itself did not parse).  The
-    inherited views (``errors``, ``ok``, ``counts``, ``render``) work
-    unchanged over the combined diagnostic list.
+    source text, the parsed program that was judged and the static
+    :class:`~repro.sql.typer.ResultSchema` the V-rules inferred (both None
+    when the VQL itself did not parse).  Carrying ``program`` lets the
+    vis gate hand the chosen candidate to the renderer without a
+    reparse.  The inherited views (``errors``, ``ok``, ``counts``,
+    ``render``) work unchanged over the combined diagnostic list.
     """
 
     vql: str | None = None
     output: ResultSchema | None = None
+    program: VQLQuery | None = None
 
     @property
     def vis_diagnostics(self) -> list:
@@ -62,7 +65,7 @@ def lint_vis(
     from repro.vis.lint.rules import run_vis_rules
 
     _LINTED.inc()
-    report = VisLintReport()
+    report = VisLintReport(program=vql)
     sql_report = lint_query(vql.query, schema)
     report.diagnostics.extend(sql_report.diagnostics)
     report.analysis = sql_report.analysis

@@ -29,7 +29,7 @@ from repro.obs import metrics as _obs_metrics
 from repro.resilience import deadline as _deadline
 from repro.sql.lint.diagnostics import Severity
 from repro.vis.lint.engine import VisLintReport, lint_vis, lint_vql_text
-from repro.vis.vql import CHART_TYPES, parse_vql, to_vql
+from repro.vis.vql import CHART_TYPES, VQLQuery, parse_vql, to_vql
 
 _registry = _obs_metrics.get_registry()
 _DECISIONS = _registry.counter("repro.vis.gate.decisions")
@@ -52,13 +52,17 @@ class VisGateDecision:
     ``kept``/``pruned`` partition the deduplicated candidates, each
     paired with its :class:`~repro.vis.lint.engine.VisLintReport`.
     ``repaired`` is True when ``chosen`` is a chart-repaired rewrite
-    rather than one of the original candidates.
+    rather than one of the original candidates.  ``program`` is the
+    parsed form of ``chosen`` — or, when nothing was chosen, of the
+    first candidate the caller falls back to (None if that did not
+    parse) — so the caller can render it without parsing the text again.
     """
 
     chosen: str | None
     kept: list[tuple[str, VisLintReport]] = field(default_factory=list)
     pruned: list[tuple[str, VisLintReport]] = field(default_factory=list)
     repaired: bool = False
+    program: VQLQuery | None = None
 
     @property
     def examined(self) -> int:
@@ -118,12 +122,14 @@ class VisLintGate:
                 distinct.append(candidate)
         kept: list[tuple[str, VisLintReport]] = []
         pruned: list[tuple[str, VisLintReport]] = []
+        programs: dict[str, VQLQuery | None] = {}
         best: str | None = None
         best_score = float("inf")
         for candidate in distinct:
             if _deadline._ACTIVE:
                 _deadline.checkpoint("vis lint gate")
             report = self.report(candidate, schema, db=db)
+            programs[candidate] = report.program
             if any(
                 self.prune_at <= d.severity for d in report.diagnostics
             ):
@@ -136,15 +142,22 @@ class VisLintGate:
                 best, best_score = candidate, score
 
         repaired = False
+        program = programs.get(best) if best is not None else None
         if best is None and self.repair_chart:
-            best = self._repair(pruned, schema, db)
+            best, program = self._repair(pruned, schema, db)
             repaired = best is not None
             if repaired:
                 _REPAIRED.inc()
         if best is None:
             _FALLBACKS.inc()
+            if distinct:
+                program = programs[distinct[0]]
         return VisGateDecision(
-            chosen=best, kept=kept, pruned=pruned, repaired=repaired
+            chosen=best,
+            kept=kept,
+            pruned=pruned,
+            repaired=repaired,
+            program=program,
         )
 
     # ------------------------------------------------------------------
@@ -153,9 +166,14 @@ class VisLintGate:
         pruned: list[tuple[str, VisLintReport]],
         schema: Schema,
         db: Database | None,
-    ) -> str | None:
-        """Retry chart-mismatch-only rejects under the other chart types."""
+    ) -> tuple[str | None, VQLQuery | None]:
+        """Retry chart-mismatch-only rejects under the other chart types.
+
+        Returns the cleanest rewrite's text and parsed program, or
+        ``(None, None)`` when no rewrite lints clean.
+        """
         best: str | None = None
+        best_program: VQLQuery | None = None
         best_score = float("inf")
         for candidate, report in pruned:
             blockers = {
@@ -165,7 +183,7 @@ class VisLintGate:
             }
             if not blockers or not blockers <= _CHART_ONLY_CODES:
                 continue
-            vql = parse_vql(candidate)  # linted above, so it parses
+            vql = report.program  # linted above, so it parsed
             for chart in CHART_TYPES:
                 if chart == vql.chart_type:
                     continue
@@ -178,4 +196,5 @@ class VisLintGate:
                 score = self.score(retry)
                 if score < best_score:
                     best, best_score = rewritten, score
-        return best
+                    best_program = retry.program
+        return best, best_program

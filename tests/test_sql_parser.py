@@ -257,3 +257,45 @@ class TestErrors:
     def test_limit_requires_integer(self):
         with pytest.raises(ParseError):
             parse_sql("SELECT a FROM t LIMIT 'five'")
+
+
+class TestValueKeys:
+    """ASTs are cache keys by value: equal programs hash equal, typed
+    literals do not, and the cached query hash never leaves the process."""
+
+    SQL = (
+        "SELECT name FROM products WHERE price > 1 "
+        "UNION SELECT name FROM products WHERE id IN (SELECT 1)"
+    )
+
+    def test_equal_parses_are_equal_keys(self):
+        first, second = parse_sql(self.SQL), parse_sql(self.SQL)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second}) == 1
+
+    @pytest.mark.parametrize("a, b", [("1", "1.0"), ("1", "TRUE"),
+                                      ("0", "FALSE"), ("0.0", "FALSE")])
+    def test_typed_literals_are_distinct_keys(self, a, b):
+        left = parse_sql(f"SELECT {a} FROM t")
+        right = parse_sql(f"SELECT {b} FROM t")
+        assert left != right
+        assert len({left, right}) == 2
+
+    def test_cached_hash_is_not_pickled_or_copied(self):
+        import copy
+        import dataclasses
+        import pickle
+
+        query = parse_sql(self.SQL)
+        unhashed = pickle.dumps(query)
+        hash(query)  # caches it
+        # string hashes differ between processes: the cache must not ship
+        assert pickle.dumps(query) == unhashed
+        for clone in (pickle.loads(pickle.dumps(query)),
+                      copy.deepcopy(query)):
+            assert clone == query and hash(clone) == hash(query)
+        limited = dataclasses.replace(query.left, limit=3)
+        assert hash(limited) == hash(parse_sql(
+            "SELECT name FROM products WHERE price > 1 LIMIT 3"
+        ))

@@ -362,6 +362,48 @@ class TestResultCache:
         assert stats["misses"] == 2 and stats["hits"] == 0
 
 
+class TestKeyMemo:
+    """The canonical-key memo is keyed by AST value, bounded, clearable."""
+
+    def test_equal_asts_share_one_entry(self, shop_db):
+        sql = "SELECT name FROM products WHERE price > 5"
+        first, second = parse_sql(sql), parse_sql(sql)
+        assert first is not second
+        execute(first, shop_db)
+        execute(second, shop_db)
+        assert len(rescache._KEY_MEMO) == 1
+        # the fresh AST found the entry keyed by the first one
+        assert first in rescache._KEY_MEMO and second in rescache._KEY_MEMO
+
+    def test_typed_literals_get_their_own_keys(self, shop_db):
+        for literal in ("1", "1.0", "TRUE"):
+            execute(parse_sql(f"SELECT {literal} FROM products"), shop_db)
+        assert len(rescache._KEY_MEMO) == 3
+
+    def test_clear_result_cache_empties_memo(self, shop_db):
+        execute(parse_sql("SELECT name FROM products"), shop_db)
+        assert rescache._KEY_MEMO
+        rescache.clear_result_cache()
+        assert not rescache._KEY_MEMO
+
+    def test_bound_holds_under_long_replay(self, shop_db):
+        bound = rescache._KEY_MEMO_MAX
+        for _ in range(2):
+            for i in range(bound + 200):
+                execute(
+                    parse_sql(f"SELECT name FROM products WHERE id > {i}"),
+                    shop_db,
+                )
+                assert len(rescache._KEY_MEMO) <= bound
+        assert len(rescache._KEY_MEMO) == bound
+        # oldest-first eviction: the newest query is resident, the
+        # oldest is not
+        newest = parse_sql(f"SELECT name FROM products WHERE id > {bound + 199}")
+        oldest = parse_sql("SELECT name FROM products WHERE id > 0")
+        assert newest in rescache._KEY_MEMO
+        assert oldest not in rescache._KEY_MEMO
+
+
 # ----------------------------------------------------------------------
 # consumers
 # ----------------------------------------------------------------------

@@ -83,6 +83,86 @@ def test_seeded_random_queries_differential(shop_db):
         assert_three_way_agree(_random_query(rng), shop_db)
 
 
+def _typed(rows: list) -> list:
+    """Rows with every value tagged by its exact type (``1 == 1.0 == True``
+    in Python, but not in a result)."""
+    return [tuple((type(v), v) for v in row) for row in rows]
+
+
+def assert_cached_paths_agree(sql: str, db: Database) -> None:
+    """Reference vs the *cached* row and vector plans (``plan_for``),
+    compared type-exactly: a plan cached for one query must never answer
+    a different one."""
+    query = parse_sql(sql)
+    try:
+        expected = execute_reference(query, db)
+    except SQLError as exc:
+        expected = exc
+    for vectorize in (False, True):
+        previous = vec.set_vector_enabled(vectorize)
+        try:
+            plan = plan_for(query, db.schema, db)
+            if isinstance(expected, SQLError):
+                with pytest.raises(type(expected)) as info:
+                    plan.run(db)
+                assert str(info.value) == str(expected), (sql, vectorize)
+                continue
+            got = plan.run(db)
+        finally:
+            vec.set_vector_enabled(previous)
+        assert got.columns == expected.columns, (sql, vectorize)
+        assert _typed(got.rows) == _typed(expected.rows), (sql, vectorize)
+        assert got.ordered == expected.ordered, (sql, vectorize)
+
+
+#: literals Python considers equal but SQL results do not (column name
+#: and value type differ)
+_TYPED_TWINS = (("1", "1.0", "TRUE"), ("0", "0.0", "FALSE"))
+
+
+def _with_twin(sql: str, literal: str) -> str:
+    """*sql* with *literal* prepended as an unaliased projection item."""
+    for prefix in ("SELECT DISTINCT ", "SELECT "):
+        if sql.startswith(prefix):
+            return prefix + literal + ", " + sql[len(prefix):]
+    raise AssertionError(sql)
+
+
+def test_seeded_typed_literal_twins_differential(shop_db):
+    # every random query runs as three typed twins, in a seeded order,
+    # through the uncached three-way check and the cached plan path of
+    # this one process: a value-keyed cache that conflates 1 / 1.0 / TRUE
+    # answers the second twin with the first twin's plan
+    from tests.test_sql_plan import _random_query
+
+    clear_plan_caches()
+    rng = random.Random(8642)
+    for _ in range(60):
+        base = _random_query(rng)
+        twins = list(rng.choice(_TYPED_TWINS))
+        rng.shuffle(twins)
+        for literal in twins:
+            sql = _with_twin(base, literal)
+            assert_three_way_agree(sql, shop_db)
+            assert_cached_paths_agree(sql, shop_db)
+
+
+@pytest.mark.parametrize("twins", _TYPED_TWINS)
+def test_typed_literals_never_share_a_cached_plan(twins, shop_db):
+    # SELECT 1.0 first, then SELECT 1 and SELECT TRUE, all in one process
+    # and through the production entry point (plan cache + result cache)
+    from repro.sql.executor import execute
+
+    clear_plan_caches()
+    for literal in (twins[1], twins[0], twins[2]):
+        sql = f"SELECT {literal} FROM products"
+        expected = execute_reference(parse_sql(sql), shop_db)
+        got = execute(parse_sql(sql), shop_db)
+        assert got.columns == expected.columns == [literal.lower()], sql
+        assert _typed(got.rows) == _typed(expected.rows), sql
+        assert_cached_paths_agree(sql, shop_db)
+
+
 def test_random_queries_on_generated_database(sales_db):
     table = next(iter(sales_db.tables))
     assert_three_way_agree(f"SELECT COUNT(*) FROM {table}", sales_db)

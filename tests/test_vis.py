@@ -193,6 +193,31 @@ class TestCharts:
         chart = Chart(chart_type="bar", x_label="x", y_label="y", points=[])
         assert "no data" in chart.to_ascii()
 
+    @pytest.mark.parametrize("chart_type", ["bar", "pie", "line", "scatter"])
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [],  # no data
+            [("a", "x"), ("b", None), ("c", True)],  # no numeric y
+            [("a", 3), ("b", 1.5), ("c", None)],  # numeric y, text x
+            [(1, 2), (2.5, -4), (3, 0)],  # numeric both axes
+            [(True, 1), (None, 2)],  # scatter: no numeric x
+        ],
+        ids=["no-data", "no-numeric", "text-x", "numeric", "bool-x"],
+    )
+    @pytest.mark.parametrize("labels", [("x", "y"), ("a\nb", "c\rd")])
+    def test_title_line_is_first_ascii_line(self, chart_type, points, labels):
+        chart = Chart(
+            chart_type=chart_type,
+            x_label=labels[0],
+            y_label=labels[1],
+            points=points,
+        )
+        for width in (24, 40):
+            assert chart.title_line() == (
+                chart.to_ascii(width=width).splitlines()[0]
+            )
+
 
 class TestRecommend:
     def test_recommends_ranked_charts(self, sales_db):
