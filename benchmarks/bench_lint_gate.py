@@ -9,7 +9,9 @@ This benchmark quantifies the trade:
    Spider-like sample;
 2. **gate effect** — how often the lint gate's candidate ranking changes
    the chosen query, and what fraction of corrupted candidates each
-   severity threshold prunes.
+   severity threshold prunes.  At the error threshold it asserts that the
+   gate prunes exactly the injected corruptions and that each prune
+   changes the choice.
 """
 
 from __future__ import annotations
@@ -98,10 +100,11 @@ def _gate_effect():
     rows = []
     for threshold in (Severity.ERROR, Severity.WARNING):
         gate = LintGate(prune_at=threshold)
-        pruned = examined = changed = 0
+        pruned = examined = changed = injected = 0
         start = time.perf_counter()
         for query, db in queries:
             bad = _corrupt(query)
+            injected += bad is not None
             candidates = [bad, query] if bad is not None else [query]
             decision = gate.decide(candidates, db.schema)
             examined += decision.examined
@@ -109,6 +112,11 @@ def _gate_effect():
             if decision.chosen is not None and decision.chosen != candidates[0]:
                 changed += 1
         elapsed = time.perf_counter() - start
+        if threshold is Severity.ERROR:
+            assert pruned == changed == injected, (
+                f"error-threshold gate pruned {pruned} and changed "
+                f"{changed} choices for {injected} injected corruptions"
+            )
         rows.append(
             (
                 f"prune at >= {threshold.value}",

@@ -9,7 +9,7 @@ records a :class:`PipelineTrace` so examples and tests can observe each
 one — the observable counterpart of the figure.
 
 Between translation and execution an optional :class:`LintGate` stage
-scores every candidate query with the static-analysis engine
+scores the candidate queries with the static-analysis engine
 (:mod:`repro.sql.lint`) and prunes the ones carrying error-severity
 diagnostics — the survey's execution-guided decoding idea applied *before*
 execution, where rejecting a bad candidate costs microseconds instead of
@@ -17,6 +17,9 @@ a database round-trip.  The visualization branch has the analogous
 :class:`~repro.vis.lint.VisLintGate` (re-exported here), which addition-
 ally consults the static output-schema typer and the ``V``-rule catalog,
 so a chart that could never render is rejected before its SQL even runs.
+Both gates skip analysis that cannot change the answer: with one
+distinct candidate the SQL gate does not lint at all, and the vis gate
+runs only the chart checks that could trigger chart repair.
 """
 
 from __future__ import annotations
@@ -60,9 +63,12 @@ _DEGRADED_TURNS = _registry.counter("repro.pipeline.degraded.turns")
 _DEGRADES = _registry.counter("repro.resilience.degrades")
 
 
-def _stage_seconds(name: str) -> "_obs_metrics.Histogram":
-    """Fetch-or-create the latency histogram for one pipeline stage."""
-    return _registry.histogram(f"repro.pipeline.stage.{name}.seconds")
+#: the per-stage latency histograms, bound once rather than looked up by
+#: a formatted name on every stage of every turn
+_STAGE_SECONDS = {
+    name: _registry.histogram(f"repro.pipeline.stage.{name}.seconds")
+    for name in ("preprocess", "translate", "lint", "execute", "present")
+}
 
 
 @dataclass
@@ -129,20 +135,26 @@ class GateDecision:
     """What the :class:`LintGate` did with one candidate list.
 
     ``chosen`` is the candidate the gate ranked best (None when every
-    candidate was pruned — callers should fall back to the parser's own
-    best, so the gate can only help); ``kept``/``pruned`` partition the
-    deduplicated candidates, each paired with its lint report.
+    candidate was pruned, or when there was only one — callers should
+    fall back to the parser's own best, so the gate can only help);
+    ``kept``/``pruned`` partition the linted candidates, each paired with
+    its lint report, and ``unjudged`` holds a lone candidate the gate
+    passed through without linting because there was nothing to choose.
     """
 
     chosen: Query | None
     kept: list[tuple[Query, LintReport]]
     pruned: list[tuple[Query, LintReport]]
+    unjudged: list[Query] = field(default_factory=list)
 
     @property
     def examined(self) -> int:
-        return len(self.kept) + len(self.pruned)
+        """Distinct candidates seen, whether or not they were linted."""
+        return len(self.kept) + len(self.pruned) + len(self.unjudged)
 
     def describe(self) -> str:
+        if self.unjudged:
+            return "1 candidate, nothing to choose"
         return (
             f"kept {len(self.kept)}/{self.examined} candidate(s), "
             f"pruned {len(self.pruned)}"
@@ -158,6 +170,10 @@ class LintGate:
     diagnostic at or above ``prune_at`` severity; survivors are ranked by
     a weighted penalty (errors ≫ warnings ≫ infos), ties broken by the
     parser's original ranking.
+
+    With at most one distinct candidate there is nothing to choose: the
+    parser's best stands whatever its lint report says, so the gate
+    returns ``chosen=None`` without linting.
     """
 
     #: penalty weights per severity for candidate ranking
@@ -174,11 +190,17 @@ class LintGate:
         return sum(self.WEIGHTS[d.severity] for d in report.diagnostics)
 
     def decide(self, candidates: list[Query], schema: Schema) -> GateDecision:
-        """Lint every distinct candidate and pick the cleanest survivor."""
+        """Lint two or more distinct candidates; pick the cleanest survivor."""
         distinct: list[Query] = []
         for candidate in candidates:
             if candidate not in distinct:
                 distinct.append(candidate)
+        if len(distinct) <= 1:
+            if distinct and _deadline._ACTIVE:
+                _deadline.checkpoint("lint gate")
+            return GateDecision(
+                chosen=None, kept=[], pruned=[], unjudged=distinct
+            )
         kept: list[tuple[Query, LintReport]] = []
         pruned: list[tuple[Query, LintReport]] = []
         best: Query | None = None
@@ -505,7 +527,7 @@ class Pipeline:
             if budget is not None:
                 _deadline.pop_budget(token)
         seconds = time.perf_counter() - start
-        _stage_seconds(name).observe(seconds)
+        _STAGE_SECONDS[name].observe(seconds)
         if not traced:
             output = render(value)
         trace.stages.append(

@@ -16,6 +16,7 @@ from repro.data.database import Database
 from repro.data.schema import Schema
 from repro.errors import VQLParseError
 from repro.obs import metrics as _obs_metrics
+from repro.sql.ast import Query
 from repro.sql.lint.diagnostics import LintReport, Severity
 from repro.sql.lint.engine import lint_query
 from repro.sql.typer import ResultSchema, infer_output_schema
@@ -52,6 +53,52 @@ class VisLintReport(LintReport):
         return [d for d in self.diagnostics if d.code.startswith("V")]
 
 
+def lint_vis_query(query: Query, schema: Schema) -> VisLintReport:
+    """The query-level half of :func:`lint_vis`: SQL diagnostics and the
+    static output schema.
+
+    Both depend only on the data query, never on the chart drawn over
+    it, so one result serves every chart type tried on the same query
+    (chart repair) through :func:`lint_vis_chart`.
+    """
+    sql_report = lint_query(query, schema)
+    return VisLintReport(
+        diagnostics=sql_report.diagnostics,
+        analysis=sql_report.analysis,
+        lineage=sql_report.lineage,
+        output=infer_output_schema(query, schema),
+    )
+
+
+def lint_vis_chart(
+    vql: VQLQuery,
+    query_report: VisLintReport,
+    schema: Schema,
+    db: Database | None = None,
+) -> VisLintReport:
+    """The chart-level half of :func:`lint_vis`: the ``V``-rule pass.
+
+    *query_report* is :func:`lint_vis_query` of ``vql.query``; its
+    findings open the returned report, followed by the V-rule findings
+    for *vql*'s chart.
+    """
+    from repro.vis.lint.rules import run_vis_rules
+
+    _LINTED.inc()
+    report = VisLintReport(
+        diagnostics=list(query_report.diagnostics),
+        analysis=query_report.analysis,
+        lineage=query_report.lineage,
+        output=query_report.output,
+        program=vql,
+    )
+    vis_start = len(report.diagnostics)
+    run_vis_rules(vql, report.output, schema, report, db=db)
+    for diag in report.diagnostics[vis_start:]:
+        _count_diag(diag.code)
+    return report
+
+
 def lint_vis(
     vql: VQLQuery, schema: Schema, db: Database | None = None
 ) -> VisLintReport:
@@ -62,23 +109,7 @@ def lint_vis(
     silent.  SQL diagnostics from the inner query are folded into the same
     report, so a vis report is a strict superset of the SQL one.
     """
-    from repro.vis.lint.rules import run_vis_rules
-
-    _LINTED.inc()
-    report = VisLintReport(program=vql)
-    sql_report = lint_query(vql.query, schema)
-    report.diagnostics.extend(sql_report.diagnostics)
-    report.analysis = sql_report.analysis
-    report.lineage = sql_report.lineage
-
-    output = infer_output_schema(vql.query, schema)
-    report.output = output
-
-    vis_start = len(report.diagnostics)
-    run_vis_rules(vql, output, schema, report, db=db)
-    for diag in report.diagnostics[vis_start:]:
-        _count_diag(diag.code)
-    return report
+    return lint_vis_chart(vql, lint_vis_query(vql.query, schema), schema, db)
 
 
 def lint_vql_text(

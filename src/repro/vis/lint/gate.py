@@ -27,8 +27,17 @@ from repro.data.database import Database
 from repro.data.schema import Schema
 from repro.obs import metrics as _obs_metrics
 from repro.resilience import deadline as _deadline
-from repro.sql.lint.diagnostics import Severity
-from repro.vis.lint.engine import VisLintReport, lint_vis, lint_vql_text
+from repro.errors import VQLParseError
+from repro.sql.lint.diagnostics import LintReport, Severity
+from repro.sql.typer import infer_output_schema
+from repro.vis.lint.engine import (
+    VisLintReport,
+    lint_vis,
+    lint_vis_chart,
+    lint_vis_query,
+    lint_vql_text,
+)
+from repro.vis.lint.rules import run_vis_rules
 from repro.vis.vql import CHART_TYPES, VQLQuery, parse_vql, to_vql
 
 _registry = _obs_metrics.get_registry()
@@ -49,13 +58,15 @@ class VisGateDecision:
     ``chosen`` is the candidate the gate ranked best (None when every
     candidate was pruned and no repair succeeded — callers should fall
     back to the parser's own best, so the gate can only help);
-    ``kept``/``pruned`` partition the deduplicated candidates, each
-    paired with its :class:`~repro.vis.lint.engine.VisLintReport`.
-    ``repaired`` is True when ``chosen`` is a chart-repaired rewrite
-    rather than one of the original candidates.  ``program`` is the
-    parsed form of ``chosen`` — or, when nothing was chosen, of the
-    first candidate the caller falls back to (None if that did not
-    parse) — so the caller can render it without parsing the text again.
+    ``kept``/``pruned`` partition the linted candidates, each paired with
+    its :class:`~repro.vis.lint.engine.VisLintReport`, and ``unjudged``
+    holds a lone candidate the gate passed through without a full lint
+    because nothing could replace it.  ``repaired`` is True when
+    ``chosen`` is a chart-repaired rewrite rather than one of the
+    original candidates.  ``program`` is the parsed form of ``chosen`` —
+    or, when nothing was chosen, of the first candidate the caller falls
+    back to (None if that did not parse) — so the caller can render it
+    without parsing the text again.
     """
 
     chosen: str | None
@@ -63,12 +74,16 @@ class VisGateDecision:
     pruned: list[tuple[str, VisLintReport]] = field(default_factory=list)
     repaired: bool = False
     program: VQLQuery | None = None
+    unjudged: list[str] = field(default_factory=list)
 
     @property
     def examined(self) -> int:
-        return len(self.kept) + len(self.pruned)
+        """Distinct candidates seen, whether or not they were linted."""
+        return len(self.kept) + len(self.pruned) + len(self.unjudged)
 
     def describe(self) -> str:
+        if self.unjudged:
+            return "1 candidate, nothing to choose"
         text = (
             f"kept {len(self.kept)}/{self.examined} candidate(s), "
             f"pruned {len(self.pruned)}"
@@ -86,6 +101,12 @@ class VisLintGate:
     back — but works on VQL text and consults the full vis diagnostic
     stack, so a syntactically perfect query charting text on a scatter
     axis is pruned before it costs an execution.
+
+    A lone candidate has no rival, so only chart repair can change the
+    answer.  The gate then parses it, types its output and runs just the
+    chart-only ``V``-rules; the full lint (SQL diagnostics, every
+    ``V``-rule, pruning and repair) runs only when one of those rules
+    blocks the chart.
     """
 
     #: penalty weights per severity for candidate ranking
@@ -114,22 +135,46 @@ class VisLintGate:
         schema: Schema,
         db: Database | None = None,
     ) -> VisGateDecision:
-        """Lint every distinct candidate and pick the cleanest survivor."""
+        """Pick the cleanest distinct candidate, or repair a lone one."""
         _DECISIONS.inc()
         distinct: list[str] = []
         for candidate in candidates:
             if candidate is not None and candidate not in distinct:
                 distinct.append(candidate)
+        programs: dict[str, VQLQuery | None] = {}
+        if len(distinct) == 1:
+            lone = distinct[0]
+            if _deadline._ACTIVE:
+                _deadline.checkpoint("vis lint gate")
+            try:
+                program = parse_vql(lone)
+            except VQLParseError:
+                program = None
+            if (
+                program is None
+                or not self.repair_chart
+                or not self._chart_blocked(program, schema)
+            ):
+                # nothing to choose and nothing to repair: the parser's
+                # best stands, whatever the rest of the lint would say
+                return VisGateDecision(
+                    chosen=None, unjudged=[lone], program=program
+                )
+            programs[lone] = program
         kept: list[tuple[str, VisLintReport]] = []
         pruned: list[tuple[str, VisLintReport]] = []
-        programs: dict[str, VQLQuery | None] = {}
         best: str | None = None
         best_score = float("inf")
         for candidate in distinct:
             if _deadline._ACTIVE:
                 _deadline.checkpoint("vis lint gate")
-            report = self.report(candidate, schema, db=db)
-            programs[candidate] = report.program
+            program = programs.get(candidate)
+            if program is None:
+                report = self.report(candidate, schema, db=db)
+                programs[candidate] = report.program
+            else:
+                report = lint_vis(program, schema, db=db)
+                report.vql = candidate
             if any(
                 self.prune_at <= d.severity for d in report.diagnostics
             ):
@@ -161,6 +206,24 @@ class VisLintGate:
         )
 
     # ------------------------------------------------------------------
+    def _chart_blocked(self, vql: VQLQuery, schema: Schema) -> bool:
+        """Whether a chart-only rule blocks *vql* at the gate's threshold.
+
+        That is the one way a lone candidate's answer can change: the
+        full path repairs a candidate only when every blocker is in
+        :data:`_CHART_ONLY_CODES`, so without one of them the lone
+        candidate stands whether or not its full lint is clean.
+        """
+        findings = LintReport()
+        run_vis_rules(
+            vql,
+            infer_output_schema(vql.query, schema),
+            schema,
+            findings,
+            codes=_CHART_ONLY_CODES,
+        )
+        return any(self.prune_at <= d.severity for d in findings.diagnostics)
+
     def _repair(
         self,
         pruned: list[tuple[str, VisLintReport]],
@@ -169,6 +232,8 @@ class VisLintGate:
     ) -> tuple[str | None, VQLQuery | None]:
         """Retry chart-mismatch-only rejects under the other chart types.
 
+        The query-level lint (SQL diagnostics, output schema) is computed
+        once per candidate and shared by every chart type tried on it.
         Returns the cleanest rewrite's text and parsed program, or
         ``(None, None)`` when no rewrite lints clean.
         """
@@ -184,17 +249,18 @@ class VisLintGate:
             if not blockers or not blockers <= _CHART_ONLY_CODES:
                 continue
             vql = report.program  # linted above, so it parsed
+            query_report = lint_vis_query(vql.query, schema)
             for chart in CHART_TYPES:
                 if chart == vql.chart_type:
                     continue
-                rewritten = to_vql(vql.with_chart(chart))
-                retry = lint_vis(parse_vql(rewritten), schema, db=db)
+                rewritten = vql.with_chart(chart)
+                retry = lint_vis_chart(rewritten, query_report, schema, db)
                 if any(
                     self.prune_at <= d.severity for d in retry.diagnostics
                 ):
                     continue
                 score = self.score(retry)
                 if score < best_score:
-                    best, best_score = rewritten, score
-                    best_program = retry.program
+                    best, best_score = to_vql(rewritten), score
+                    best_program = rewritten
         return best, best_program

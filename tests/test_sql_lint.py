@@ -490,6 +490,36 @@ class TestLintGate:
         assert decision.chosen is None
         assert decision.kept == []
 
+    def test_lone_candidate_is_not_linted(self, shop_schema, monkeypatch):
+        import repro.core.pipeline as pipeline_module
+        from repro.core.pipeline import LintGate
+
+        def no_lint(*args, **kwargs):
+            raise AssertionError("a lone candidate must not be linted")
+
+        monkeypatch.setattr(pipeline_module, "lint_query", no_lint)
+        sql = "SELECT missing FROM products"
+        # an equal re-parse is the same candidate, not a second one
+        for candidates in ([parse_sql(sql)], [parse_sql(sql), parse_sql(sql)]):
+            decision = LintGate().decide(candidates, shop_schema)
+            assert decision.chosen is None
+            assert decision.kept == [] and decision.pruned == []
+            assert decision.examined == 1
+            assert decision.describe() == "1 candidate, nothing to choose"
+
+    def test_lone_candidate_checkpoints_expired_budget(self, shop_schema):
+        from repro.core.pipeline import LintGate
+        from repro.errors import DeadlineExceeded
+        from repro.resilience import deadline
+
+        query = parse_sql("SELECT name FROM products")
+        token = deadline.push_budget(0.0, lambda: 0.0)
+        try:
+            with pytest.raises(DeadlineExceeded, match="lint gate"):
+                LintGate().decide([query], shop_schema)
+        finally:
+            deadline.pop_budget(token)
+
     def test_pipeline_prunes_before_execution(self, shop_db):
         from repro.core.pipeline import LintGate, Pipeline
         from repro.parsers.base import ParseResult, Parser

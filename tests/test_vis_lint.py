@@ -271,6 +271,104 @@ class TestGate:
         assert registry.counter("repro.vis.gate.pruned").value >= 1
 
 
+class TestLoneCandidate:
+    """A lone candidate is fully linted only when chart repair could apply."""
+
+    GOOD = TestGate.GOOD
+    WRONG_CHART = (
+        "VISUALIZE SCATTER SELECT category, COUNT(*) FROM products "
+        "GROUP BY category"
+    )
+
+    @pytest.fixture
+    def sql_lints(self, monkeypatch):
+        """Count the SQL lints the vis engine runs."""
+        import repro.vis.lint.engine as engine
+
+        calls = []
+        real = engine.lint_query
+
+        def spy(query, schema, *args, **kwargs):
+            calls.append(query)
+            return real(query, schema, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "lint_query", spy)
+        return calls
+
+    def test_matches_the_full_path_on_gold_corpora(self):
+        """decide([v]) answers like decide([v, junk]), which lints fully."""
+        from repro.datasets import build_dataset
+        from repro.vis.vql import CHART_TYPES, to_vql
+
+        gate = VisLintGate()
+        seen: set[tuple[str, str, str]] = set()
+        repairs = 0
+        for name in ("nvbench_like", "chartdialogs_like"):
+            dataset = build_dataset(name, scale=0.06, seed=11)
+            for example in dataset.examples:
+                if example.vql is None:
+                    continue
+                db = dataset.database(example.db_id)
+                gold = parse_vql(example.vql)
+                for chart in CHART_TYPES:
+                    vql = to_vql(gold.with_chart(chart))
+                    if (name, example.db_id, vql) in seen:
+                        continue
+                    seen.add((name, example.db_id, vql))
+                    lone = gate.decide([vql], db.schema, db=db)
+                    full = gate.decide(
+                        [vql, "total nonsense"], db.schema, db=db
+                    )
+                    assert (lone.chosen or vql) == (full.chosen or vql), vql
+                    assert lone.repaired == full.repaired, vql
+                    assert lone.program == full.program, vql
+                    repairs += full.repaired
+        assert len(seen) >= 1000
+        assert repairs >= 200
+
+    def test_clean_chart_skips_the_sql_lint(self, shop_schema, sql_lints):
+        decision = VisLintGate().decide([self.GOOD, self.GOOD], shop_schema)
+        assert sql_lints == []
+        assert decision.chosen is None
+        assert decision.program == parse_vql(self.GOOD)
+        assert decision.examined == 1
+        assert decision.kept == [] and decision.pruned == []
+        assert decision.describe() == "1 candidate, nothing to choose"
+
+    def test_no_choice_leaves_pruned_and_fallback_counters(self, shop_schema):
+        from repro.obs import metrics as obs_metrics
+
+        registry = obs_metrics.get_registry()
+        pruned = registry.counter("repro.vis.gate.pruned")
+        fallbacks = registry.counter("repro.vis.gate.fallbacks")
+        before = (pruned.value, fallbacks.value)
+        gate = VisLintGate()
+        broken_sql = "VISUALIZE BAR SELECT missing, price FROM products"
+        for lone in (self.GOOD, broken_sql, "total nonsense"):
+            decision = gate.decide([lone], shop_schema)
+            assert decision.chosen is None and decision.examined == 1
+        assert (pruned.value, fallbacks.value) == before
+
+    def test_repair_lints_the_sql_once(self, shop_schema, sql_lints):
+        decision = VisLintGate().decide([self.WRONG_CHART], shop_schema)
+        assert decision.repaired
+        # one lint to judge the candidate, one shared by every chart type
+        # the repair tries (three of them), not one per chart type
+        assert len(sql_lints) == 2
+        assert decision.program == parse_vql(decision.chosen)
+
+    def test_expired_budget_raises_at_the_checkpoint(self, shop_schema):
+        from repro.errors import DeadlineExceeded
+        from repro.resilience import deadline
+
+        token = deadline.push_budget(0.0, lambda: 0.0)
+        try:
+            with pytest.raises(DeadlineExceeded, match="vis lint gate"):
+                VisLintGate().decide([self.GOOD], shop_schema)
+        finally:
+            deadline.pop_budget(token)
+
+
 class TestWiring:
     def test_interface_lint_inserts_vis_gate_stage(self, sales_db):
         from repro import NaturalLanguageInterface
