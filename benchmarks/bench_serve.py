@@ -220,8 +220,8 @@ def gate_fidelity(db) -> dict:
             and got.kind == want.kind
             and got.sql == want.sql
             and got.vql == want.vql
-            and got.rows == (want.result.rows if want.result else [])
-            and got.columns == (want.result.columns if want.result else [])
+            and got.rows == (want.result.rows if want.result else ())
+            and got.columns == (want.result.columns if want.result else ())
             and got_chart == want_chart
         )
         if not same:

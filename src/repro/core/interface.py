@@ -46,19 +46,19 @@ class Answer:
         return self.trace.functional_expression
 
     @property
-    def rows(self) -> list[tuple]:
-        return self.trace.result.rows if self.trace.result else []
+    def rows(self) -> tuple[tuple, ...]:
+        return self.trace.result.rows if self.trace.result else ()
 
     @property
-    def columns(self) -> list[str]:
-        return self.trace.result.columns if self.trace.result else []
+    def columns(self) -> tuple[str, ...]:
+        return self.trace.result.columns if self.trace.result else ()
 
     @property
     def chart(self):
         return self.trace.chart
 
     @property
-    def degraded(self) -> list[str]:
+    def degraded(self) -> tuple[str, ...]:
         """Degradation-ladder rungs taken this turn (empty when healthy)."""
         return self.trace.degraded
 

@@ -71,7 +71,7 @@ _STAGE_SECONDS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class StageRecord:
     """One pipeline stage's outcome."""
 
@@ -80,7 +80,7 @@ class StageRecord:
     seconds: float
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class PipelineTrace:
     """The observable record of one request's path through Fig. 1.
 
@@ -88,10 +88,12 @@ class PipelineTrace:
     ``repro.pipeline.run`` root span (with one child per stage) when
     :mod:`repro.obs.trace` tracing is enabled, so the same request shows
     up in span trees next to the SQL engine's per-operator spans.
+
+    Frozen, like all it holds, so the turn cache shares it uncopied.
     """
 
     question: str
-    stages: list[StageRecord] = field(default_factory=list)
+    stages: tuple[StageRecord, ...] = ()
     functional_expression: str | None = None
     #: a query turn's chosen SQL as an AST (``functional_expression`` is
     #: its text), so consumers such as session history never parse the
@@ -108,7 +110,7 @@ class PipelineTrace:
     #: Degradation-ladder rungs taken this turn (``stage:rung`` strings,
     #: e.g. ``translate:rule-fallback``); empty on a healthy turn.  Only
     #: populated when the pipeline runs with a :class:`ResiliencePolicy`.
-    degraded: list[str] = field(default_factory=list)
+    degraded: tuple[str, ...] = ()
 
     @property
     def succeeded(self) -> bool:
@@ -128,6 +130,28 @@ class PipelineTrace:
         if self.error:
             lines.append(f"  error: {self.error}")
         return "\n".join(lines)
+
+
+@dataclass(slots=True)
+class _TurnBuilder:
+    """The mutable turn the stages and ladders write; frozen once."""
+
+    question: str
+    stages: list[StageRecord] = field(default_factory=list)
+    functional_expression: str | None = None
+    query: Query | None = None
+    result: Result | None = None
+    chart: Chart | None = None
+    error: str | None = None
+    span: object | None = None
+    degraded: list[str] = field(default_factory=list)
+
+    def freeze(self) -> PipelineTrace:
+        return PipelineTrace(
+            self.question, tuple(self.stages), self.functional_expression,
+            self.query, self.result, self.chart, self.error, self.span,
+            degraded=tuple(self.degraded),
+        )
 
 
 @dataclass
@@ -317,12 +341,12 @@ class Pipeline:
         history: list | None,
     ) -> PipelineTrace:
         if self.resilience is not None:
-            trace = self._run_turn_resilient(question, db, knowledge, history)
+            turn = self._run_turn_resilient(question, db, knowledge, history)
         else:
-            trace = self._run_turn(question, db, knowledge, history)
-        if trace.degraded:
+            turn = self._run_turn(question, db, knowledge, history)
+        if turn.degraded:
             _DEGRADED_TURNS.inc()
-        return trace
+        return turn.freeze()
 
     def _run_turn(
         self,
@@ -330,17 +354,17 @@ class Pipeline:
         db: Database,
         knowledge: str | None,
         history: list | None,
-    ) -> PipelineTrace:
+    ) -> _TurnBuilder:
         if _obs_trace._ENABLED:
             with _obs_trace.span(
                 "repro.pipeline.run", question=question
             ) as span:
-                trace = self._run_stages(question, db, knowledge, history)
-                span.set_attr("error", trace.error)
-                trace.span = span
+                turn = self._run_stages(question, db, knowledge, history)
+                span.set_attr("error", turn.error)
+                turn.span = span
         else:
-            trace = self._run_stages(question, db, knowledge, history)
-        return trace
+            turn = self._run_stages(question, db, knowledge, history)
+        return turn
 
     def _run_turn_resilient(
         self,
@@ -348,14 +372,14 @@ class Pipeline:
         db: Database,
         knowledge: str | None,
         history: list | None,
-    ) -> PipelineTrace:
+    ) -> _TurnBuilder:
         """One turn under the policy's deadline, guaranteed not to raise.
 
         The turn budget becomes the ambient deadline for every stage;
         stage-level faults are handled by the per-stage ladders, and
         anything that still escapes (an expired budget between stages, a
         fault in un-laddered glue) is converted into an errored-but-
-        returned trace here — a resilient pipeline's contract is that
+        returned turn here — a resilient pipeline's contract is that
         ``run`` never raises.
         """
         policy = self.resilience
@@ -363,17 +387,17 @@ class Pipeline:
         if bounded:
             token = _deadline.push_budget(policy.turn_deadline, policy.clock)
         try:
-            trace = self._run_turn(question, db, knowledge, history)
+            turn = self._run_turn(question, db, knowledge, history)
         except Exception as exc:  # belt and braces: never raise
-            trace = PipelineTrace(question=question)
-            trace.error = f"turn aborted: {exc}"
-            self._mark_degraded(trace, "turn:aborted")
+            turn = _TurnBuilder(question)
+            turn.error = f"turn aborted: {exc}"
+            self._mark_degraded(turn, "turn:aborted")
         finally:
             if bounded:
                 _deadline.pop_budget(token)
-        if trace.degraded and trace.span is not None:
-            trace.span.set_attr("degraded", ",".join(trace.degraded))
-        return trace
+        if turn.degraded and turn.span is not None:
+            turn.span.set_attr("degraded", ",".join(turn.degraded))
+        return turn
 
     def _run_stages(
         self,
@@ -381,11 +405,11 @@ class Pipeline:
         db: Database,
         knowledge: str | None,
         history: list | None,
-    ) -> PipelineTrace:
-        trace = PipelineTrace(question=question)
+    ) -> _TurnBuilder:
+        turn = _TurnBuilder(question)
 
         is_vis = self._stage(
-            trace,
+            turn,
             "preprocess",
             lambda: wants_visualization(question),
             render=lambda v: "intent: visualization" if v else "intent: query",
@@ -401,19 +425,19 @@ class Pipeline:
 
         if is_vis:
             vql = self._stage(
-                trace,
+                turn,
                 "translate",
-                lambda: self._translate_vis(request, trace),
+                lambda: self._translate_vis(request, turn),
                 render=lambda v: v or "(no translation)",
             )
             if vql is None:
-                trace.error = "translation failed"
-                return trace
+                turn.error = "translation failed"
+                return turn
             # the program the gate parsed, so render does not parse again
             program = None
             if self.vis_lint_gate is not None:
                 decision = self._stage(
-                    trace,
+                    turn,
                     "lint",
                     lambda: self.vis_lint_gate.decide([vql], db.schema, db=db),
                     render=lambda d: d.describe(),
@@ -421,95 +445,93 @@ class Pipeline:
                 if decision.chosen is not None:
                     vql = decision.chosen
                 program = decision.program
-            trace.functional_expression = vql
+            turn.functional_expression = vql
             chart = self._stage(
-                trace,
+                turn,
                 "execute",
                 lambda: self._render_chart(
-                    vql if program is None else program, db, trace
+                    vql if program is None else program, db, turn
                 ),
                 render=lambda c: (
                     f"chart with {len(c.points)} points"
                     if c is not None
                     else (
                         "degraded to data-only result"
-                        if trace.result is not None
+                        if turn.result is not None
                         else "(render failed)"
                     )
                 ),
             )
             if chart is None:
-                if trace.result is not None:
+                if turn.result is not None:
                     # render ladder degraded to data-only: present the
                     # underlying rows like a query turn
-                    data = trace.result
+                    data = turn.result
                     self._stage(
-                        trace,
+                        turn,
                         "present",
                         lambda: ", ".join(data.columns),
                         render=lambda c: f"columns: {c}",
                     )
-                    return trace
-                trace.error = "chart rendering failed"
-                return trace
-            trace.chart = chart
-            self._stage(
-                trace, "present", chart.title_line, render=str
-            )
-            return trace
+                    return turn
+                turn.error = "chart rendering failed"
+                return turn
+            turn.chart = chart
+            self._stage(turn, "present", chart.title_line, render=str)
+            return turn
 
         parse_result = self._stage(
-            trace,
+            turn,
             "translate",
-            lambda: self._translate_sql(request, trace),
+            lambda: self._translate_sql(request, turn),
             render=lambda r: (
                 to_sql(r.query) if r.query is not None else "(no translation)"
             ),
         )
         if parse_result.query is None:
-            trace.error = "translation failed"
-            return trace
+            turn.error = "translation failed"
+            return turn
         query = parse_result.query
         # the translate stage's output is already this query's SQL text
-        translated_sql = trace.stages[-1].output
+        translated_sql = turn.stages[-1].output
         if self.lint_gate is not None:
             candidates = [query] + [
                 c for c in parse_result.candidates if c != query
             ]
             decision = self._stage(
-                trace,
+                turn,
                 "lint",
                 lambda: self.lint_gate.decide(candidates, db.schema),
                 render=lambda d: d.describe(),
             )
             if decision.chosen is not None:
                 query = decision.chosen
-        trace.functional_expression = (
+        turn.functional_expression = (
             translated_sql if query is parse_result.query else to_sql(query)
         )
-        trace.query = query
+        turn.query = query
         result = self._stage(
-            trace,
+            turn,
             "execute",
-            lambda: self._execute(query, db, trace),
+            lambda: self._execute(query, db, turn),
             render=lambda r: (
                 f"{len(r.rows)} row(s)" if r is not None else "(failed)"
             ),
         )
         if result is None:
-            trace.error = "execution failed"
-            return trace
-        trace.result = result
+            turn.error = "execution failed"
+            return turn
+        turn.result = result
         self._stage(
-            trace,
+            turn,
             "present",
             lambda: ", ".join(result.columns),
             render=lambda c: f"columns: {c}",
         )
-        return trace
+        return turn
 
     # ------------------------------------------------------------------
-    def _stage(self, trace: PipelineTrace, name: str, fn, render):
+    def _stage(self, turn: _TurnBuilder, name: str, fn, render):
         budget = self._stage_budgets.get(name)
         traced = _obs_trace._ENABLED
         start = time.perf_counter()
@@ -530,7 +552,7 @@ class Pipeline:
         _STAGE_SECONDS[name].observe(seconds)
         if not traced:
             output = render(value)
-        trace.stages.append(
+        turn.stages.append(
             StageRecord(stage=name, output=output, seconds=seconds)
         )
         return value
@@ -538,8 +560,8 @@ class Pipeline:
     # ------------------------------------------------------------------
     # resilient stage wrappers and degradation ladders
     # ------------------------------------------------------------------
-    def _mark_degraded(self, trace: PipelineTrace, rung: str) -> None:
-        trace.degraded.append(rung)
+    def _mark_degraded(self, turn: _TurnBuilder, rung: str) -> None:
+        turn.degraded.append(rung)
         _DEGRADES.inc()
         _registry.counter(f"repro.resilience.degrade.{rung}").inc()
 
@@ -611,7 +633,7 @@ class Pipeline:
         return result
 
     def _translate_sql(
-        self, request: ParseRequest, trace: PipelineTrace
+        self, request: ParseRequest, turn: _TurnBuilder
     ) -> ParseResult:
         if self.resilience is None:
             return self.sql_parser.parse(request)
@@ -626,7 +648,7 @@ class Pipeline:
             # ladder: LLM/neural parser -> keyword rule parser.  The
             # fallback is deterministic and model-free; if even it fails,
             # the stage reports "no translation" like any parser miss.
-            self._mark_degraded(trace, "translate:rule-fallback")
+            self._mark_degraded(turn, "translate:rule-fallback")
             if self._sql_fallback is None:
                 from repro.parsers.rule import KeywordRuleParser
 
@@ -637,7 +659,7 @@ class Pipeline:
                 return ParseResult(query=None, notes="fallback parser failed")
 
     def _translate_vis(
-        self, request: ParseRequest, trace: PipelineTrace
+        self, request: ParseRequest, turn: _TurnBuilder
     ) -> str | None:
         if self.resilience is None:
             return self.vis_parser.parse_vis(request)
@@ -652,7 +674,7 @@ class Pipeline:
         try:
             return self._guarded("parser.vis", "translate", attempt)
         except Exception:
-            self._mark_degraded(trace, "translate:rule-fallback")
+            self._mark_degraded(turn, "translate:rule-fallback")
             if self._vis_fallback is None:
                 from repro.parsers.vis.rule import DataToneVisParser
 
@@ -663,7 +685,7 @@ class Pipeline:
                 return None
 
     def _execute(
-        self, query, db: Database, trace: PipelineTrace
+        self, query, db: Database, turn: _TurnBuilder
     ) -> Result | None:
         if self.resilience is None:
             try:
@@ -685,10 +707,10 @@ class Pipeline:
             # organic query failure: same outcome as the plain pipeline
             return None
         except Exception as exc:
-            return self._execute_ladder(query, db, trace, exc)
+            return self._execute_ladder(query, db, turn, exc)
 
     def _execute_ladder(
-        self, query, db: Database, trace: PipelineTrace, exc: Exception
+        self, query, db: Database, turn: _TurnBuilder, exc: Exception
     ) -> Result | None:
         """The execute degradation ladder, rung by rung.
 
@@ -702,7 +724,7 @@ class Pipeline:
         if isinstance(exc, InjectedFault) and exc.site == "engine.vector":
             previous = _vector.set_vector_enabled(False)
             try:
-                self._mark_degraded(trace, "execute:vector-off")
+                self._mark_degraded(turn, "execute:vector-off")
                 try:
                     return execute(query, db)
                 except SQLError:
@@ -713,13 +735,13 @@ class Pipeline:
                 _vector.set_vector_enabled(previous)
         cached = _rescache.peek(query, db)
         if cached is not None:
-            self._mark_degraded(trace, "execute:cached-result")
+            self._mark_degraded(turn, "execute:cached-result")
             return cached
-        self._mark_degraded(trace, "execute:failed")
+        self._mark_degraded(turn, "execute:failed")
         return None
 
     def _render_chart(
-        self, vql: VQLQuery | str, db: Database, trace: PipelineTrace
+        self, vql: VQLQuery | str, db: Database, turn: _TurnBuilder
     ) -> Chart | None:
         if self.resilience is None:
             try:
@@ -743,10 +765,10 @@ class Pipeline:
                 program = parse_vql(vql) if isinstance(vql, str) else vql
                 result = execute(program.query, db)
             except ReproError:
-                self._mark_degraded(trace, "render:failed")
+                self._mark_degraded(turn, "render:failed")
                 return None
-            self._mark_degraded(trace, "render:data-only")
-            trace.result = result
+            self._mark_degraded(turn, "render:data-only")
+            turn.result = result
             return None
         except ReproError:
             # organic render failure: same outcome as the plain pipeline

@@ -14,8 +14,9 @@ serve workers over a shared pipeline all go through it:
 - otherwise the caller **computes** the turn as leader
   (``repro.pipeline.turn_cache.misses``).
 
-Every caller gets a private copy (:func:`_replay_trace`), so mutating a
-returned trace can poison neither the cache nor another caller.
+Nothing is copied: a finished trace is frozen all the way down, so the
+leader keeps its own and the cache stores one ``cached=True`` view of
+it (same stages, result and chart) for every hit and follower.
 Degraded turns are neither stored nor shared — a fallback answer must
 not outlive the incident that caused it — and a leader that raises or
 degrades wakes its followers, each of which then computes its own turn.
@@ -76,28 +77,6 @@ def turn_key(
     return key
 
 
-def _replay_trace(trace):
-    """A fresh trace replaying *trace* (callers may mutate theirs).
-
-    Every mutable field is copied — stage records, result, chart — so
-    neither the stored trace nor any prior replay aliases the one handed
-    out here.
-    """
-    return replace(
-        trace,
-        stages=[replace(record) for record in trace.stages],
-        result=(
-            _rescache.copy_result(trace.result)
-            if trace.result is not None
-            else None
-        ),
-        chart=trace.chart.copy() if trace.chart is not None else None,
-        span=None,
-        cached=True,
-        degraded=list(trace.degraded),
-    )
-
-
 class _Flight:
     """One in-flight leader; followers wait on ``latch``."""
 
@@ -108,7 +87,7 @@ class _Flight:
         # cheaper latch than an Event, and every miss creates one)
         self.latch = threading.Lock()
         self.latch.acquire()
-        #: the leader's stored copy, or None (raised or degraded leader)
+        #: the leader's stored view, or None (raised or degraded leader)
         self.trace = None
 
 
@@ -149,28 +128,27 @@ class TurnCache:
                     flight = self._inflight[key] = _Flight()
         if stored is not None:
             _HITS.inc()
-            return _replay_trace(stored)
+            return stored
         if not leader:
             _FOLLOWERS.inc()
             with flight.latch:
                 pass
             if flight.trace is None:
                 return compute()
-            return _replay_trace(flight.trace)
+            return flight.trace
         _MISSES.inc()
-        private = None
+        view = None
         try:
             trace = compute()
             if not trace.degraded:
-                # stash a private copy: the leader owns the returned trace
-                private = _replay_trace(trace)
+                view = replace(trace, cached=True, span=None)
         finally:
             with self._lock:
                 del self._inflight[key]
-                if private is not None:
-                    self._stored[key] = private
+                if view is not None:
+                    self._stored[key] = view
                     while len(self._stored) > self.maxsize:
                         self._stored.popitem(last=False)
-            flight.trace = private
+            flight.trace = view
             flight.latch.release()
         return trace

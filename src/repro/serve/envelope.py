@@ -118,12 +118,12 @@ class Response:
         return self.status == "shed"
 
     @property
-    def rows(self) -> list[tuple]:
-        return self.result.rows if self.result is not None else []
+    def rows(self) -> tuple[tuple, ...]:
+        return self.result.rows if self.result is not None else ()
 
     @property
-    def columns(self) -> list[str]:
-        return self.result.columns if self.result is not None else []
+    def columns(self) -> tuple[str, ...]:
+        return self.result.columns if self.result is not None else ()
 
     @property
     def total_seconds(self) -> float:

@@ -568,7 +568,7 @@ class Server:
         base.result = system_response.result
         base.chart = system_response.chart
         base.message = system_response.message
-        base.degraded = tuple(system_response.degraded)
+        base.degraded = system_response.degraded
         if system_response.answered:
             base.status = "ok"
         else:

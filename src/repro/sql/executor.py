@@ -60,18 +60,24 @@ from repro.sql.ast import (
 from repro.sql.unparser import to_sql
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Result:
     """The result ``r`` of executing a query: column names plus row tuples.
 
     ``ordered`` records whether the query imposed an ORDER BY, which the
     execution-match metric uses to decide between sequence and multiset
-    comparison.
+    comparison.  Frozen (tuple columns and rows), so caches share it.
     """
 
-    columns: list[str]
-    rows: list[tuple[Value, ...]]
+    columns: tuple[str, ...]
+    rows: tuple[tuple[Value, ...], ...]
     ordered: bool = False
+
+    def __post_init__(self) -> None:
+        if type(self.columns) is not tuple:
+            object.__setattr__(self, "columns", tuple(self.columns))
+        if type(self.rows) is not tuple:
+            object.__setattr__(self, "rows", tuple(self.rows))
 
     def first_value(self) -> Value:
         """The single scalar of a 1x1 result, else None."""

@@ -26,9 +26,8 @@ interactive-NLI traffic shape the survey describes.  It sits between
   key: two canonically-equal queries are guaranteed to agree on whether
   they fail, not on the exact message text (e.g. swapped operand reprs in
   an arithmetic error), so each AST keeps its own verbatim error object.
-- **Hits return defensive copies** (fresh ``Result`` with copied
-  column/row lists) so a caller mutating its result cannot poison the
-  cache.
+- **Hits share the stored result**: a ``Result`` is frozen, so hits,
+  misses and :func:`peek` return the one stored object, uncopied.
 
 ``REPRO_SQL_RESCACHE=0`` (or :func:`set_rescache_enabled`) disables the
 cache; the disabled path is a single flag check in ``execute()``
@@ -62,7 +61,6 @@ __all__ = [
     "cached_execute",
     "clear_result_cache",
     "configure_result_cache",
-    "copy_result",
     "database_state_token",
     "execute_or_error",
     "peek",
@@ -229,15 +227,6 @@ def _copy_error(exc: SQLError) -> SQLError:
     return clone
 
 
-def copy_result(result: Result) -> Result:
-    """A defensive copy sharing only the immutable row tuples."""
-    return Result(
-        columns=list(result.columns),
-        rows=list(result.rows),
-        ordered=result.ordered,
-    )
-
-
 def database_state_token(db: Database) -> tuple:
     """Identity + full per-table version stamp of *db*, for turn keys.
 
@@ -301,7 +290,7 @@ def _lookup_or_run(query: Query, db: Database) -> tuple:
         if entry is not None:
             _CACHE.move_to_end(result_key)
             _HITS.inc()
-            return copy_result(entry[0]), True
+            return entry[0], True
         entry = _CACHE.get(error_key)
         if entry is not None:
             _CACHE.move_to_end(error_key)
@@ -316,7 +305,7 @@ def _lookup_or_run(query: Query, db: Database) -> tuple:
         _store(error_key, _copy_error(exc), _ERROR_BYTES)
         return exc, False
     _store(result_key, result, _estimate_bytes(result))
-    return copy_result(result), False
+    return result, False
 
 
 def _store(key: tuple, value, nbytes: int) -> None:
@@ -340,8 +329,8 @@ def cached_execute(query: Query, db: Database) -> Result:
     """Execute *query* on *db* through the result cache.
 
     Semantics are identical to :func:`repro.sql.executor.execute`: the
-    same :class:`Result` (a fresh copy), or the same
-    :class:`~repro.errors.SQLError` raised.  Callers normally reach this
+    same :class:`Result` (the stored object — it is immutable), or the
+    same :class:`~repro.errors.SQLError` raised.  Callers normally reach this
     via ``execute()``, which routes here whenever the cache is enabled
     and tracing is off.
     """
@@ -364,7 +353,7 @@ def execute_or_error(query: Query, db: Database) -> tuple:
 def peek(query: Query, db: Database):
     """Probe the cache for *query* without executing anything.
 
-    Returns a fresh copy of the cached :class:`Result` on a hit, or
+    Returns the cached :class:`Result` itself on a hit, or
     ``None`` on a miss (including cached *errors* — a stored failure is
     not a servable answer).  The probe uses the same canonical key and
     *current* table/database version tokens as :func:`cached_execute`,
@@ -392,7 +381,7 @@ def peek(query: Query, db: Database):
         if entry is not None:
             _CACHE.move_to_end(result_key)
             _PEEK_HITS.inc()
-            return copy_result(entry[0])
+            return entry[0]
     _PEEK_MISSES.inc()
     return None
 

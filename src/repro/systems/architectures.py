@@ -319,14 +319,13 @@ class PipelineSystem(NLISystem):
         trace = self.pipeline.run(
             question, db, knowledge=knowledge, history=history
         )
-        degraded = tuple(trace.degraded)
         if trace.chart is not None:
             return SystemResponse(
                 question=question,
                 kind="chart",
                 vql=trace.functional_expression,
                 chart=trace.chart,
-                degraded=degraded,
+                degraded=trace.degraded,
             )
         if trace.result is not None and trace.error is None:
             is_vis_turn = trace.chart is None and any(
@@ -340,7 +339,7 @@ class PipelineSystem(NLISystem):
                 vql=trace.functional_expression if is_vis_turn else None,
                 query=trace.query,
                 result=trace.result,
-                degraded=degraded,
+                degraded=trace.degraded,
             )
         return SystemResponse(
             question=question,
@@ -348,5 +347,5 @@ class PipelineSystem(NLISystem):
             sql=trace.functional_expression,
             query=trace.query,
             message=trace.error or "the pipeline produced no answer",
-            degraded=degraded,
+            degraded=trace.degraded,
         )

@@ -2,49 +2,46 @@
 
 ``render_chart`` is the Text-to-Vis execution engine ``E(e, D) -> r``: it
 runs a VQL program's SQL against a database (applying the BIN clause as a
-pre-aggregation rewrite), compiles the spec, and returns a :class:`Chart`
-— the graphical result object.  ``Chart.to_ascii`` draws a terminal
+pre-aggregation rewrite), checks its points against the chart type, and
+returns a :class:`Chart` — the graphical result object, whose Vega-Lite
+``spec`` is compiled when read.  ``Chart.to_ascii`` draws a terminal
 rendering so examples can show actual charts without a plotting library.
 """
 
 from __future__ import annotations
 
-import copy as _copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.data.database import Database
 from repro.data.values import Value
 from repro.errors import ChartError
 from repro.sql.executor import Result, execute
-from repro.vis.spec import build_spec
+from repro.vis.spec import check_points, compile_spec
 from repro.vis.vql import VQLQuery, parse_vql, to_vql
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Chart:
-    """The rendered result of a visualization query."""
+    """The rendered result of a visualization query (frozen, so shared)."""
 
     chart_type: str
     x_label: str
     y_label: str
-    points: list[tuple[Value, Value]]
-    spec: dict = field(default_factory=dict)
+    points: tuple[tuple[Value, Value], ...]
     vql: str = ""
+    #: the BIN clause's calendar unit (``year``, ``month``, ...), or None
+    time_unit: str | None = None
 
-    def copy(self) -> "Chart":
-        """A defensive copy sharing no mutable state with the original.
+    def __post_init__(self) -> None:
+        if type(self.points) is not tuple:
+            object.__setattr__(self, "points", tuple(self.points))
 
-        The turn cache (:mod:`repro.core.turn_cache`) replays charts
-        across calls; the spec is deep-copied because it nests dicts
-        (``encoding``, ``data.values``).
-        """
-        return Chart(
-            chart_type=self.chart_type,
-            x_label=self.x_label,
-            y_label=self.y_label,
-            points=list(self.points),
-            spec=_copy.deepcopy(self.spec),
-            vql=self.vql,
+    @property
+    def spec(self) -> dict:
+        """The Vega-Lite-like spec, compiled afresh on every read."""
+        return compile_spec(
+            self.chart_type, self.x_label, self.y_label, self.points,
+            self.time_unit,
         )
 
     def to_ascii(self, width: int = 40) -> str:
@@ -138,14 +135,15 @@ def render_chart(vql: VQLQuery | str, db: Database) -> Chart:
         raise ChartError(
             "visualization queries must return at least two columns"
         )
-    spec = build_spec(vql, result)
+    points = [(row[0], row[1]) for row in result.rows]
+    check_points(vql.chart_type, points)
     return Chart(
         chart_type=vql.chart_type,
         x_label=result.columns[0],
         y_label=result.columns[1],
-        points=[(row[0], row[1]) for row in result.rows],
-        spec=spec,
+        points=points,
         vql=to_vql(vql),
+        time_unit=vql.bin_unit if vql.bin_column else None,
     )
 
 

@@ -38,42 +38,53 @@ def build_spec(vql: VQLQuery, result: Result) -> dict:
             f"a {vql.chart_type} chart needs two result columns, got "
             f"{len(result.columns)}"
         )
-    x_field, y_field = result.columns[0], result.columns[1]
-    values = [
-        {x_field: row[0], y_field: row[1]}
-        for row in result.rows
-    ]
-    x_type = field_type([row[0] for row in result.rows])
-    y_type = field_type([row[1] for row in result.rows])
+    points = [(row[0], row[1]) for row in result.rows]
+    check_points(vql.chart_type, points)
+    return compile_spec(
+        vql.chart_type, result.columns[0], result.columns[1], points,
+        vql.bin_unit if vql.bin_column else None,
+    )
 
+
+def check_points(chart_type: str, points) -> None:
+    """Raise :class:`~repro.errors.ChartError` when the ``(x, y)`` *points*
+    cannot be drawn as *chart_type*: :func:`build_spec`'s encoding-type
+    backstop, which :func:`~repro.vis.charts.render_chart` runs alone."""
     # an empty result is a valid (empty) chart; type checks need data
-    if result.rows:
-        if vql.chart_type == "scatter" and (
-            x_type != "quantitative" or y_type != "quantitative"
-        ):
-            raise ChartError("scatter plots need numeric x and y columns")
-        if vql.chart_type in ("bar", "pie") and y_type != "quantitative":
-            raise ChartError(
-                f"{vql.chart_type} charts need a numeric y column"
-            )
+    if not points:
+        return
+    y_type = field_type([y for _, y in points])
+    if chart_type == "scatter" and (
+        field_type([x for x, _ in points]) != "quantitative"
+        or y_type != "quantitative"
+    ):
+        raise ChartError("scatter plots need numeric x and y columns")
+    if chart_type in ("bar", "pie") and y_type != "quantitative":
+        raise ChartError(f"{chart_type} charts need a numeric y column")
 
-    if vql.chart_type == "pie":
+
+def compile_spec(
+    chart_type: str, x_field: str, y_field: str, points, time_unit=None
+) -> dict:
+    """A fresh spec dict for already-checked ``(x, y)`` *points*."""
+    if chart_type == "pie":
         encoding = {
             "theta": {"field": y_field, "type": "quantitative"},
             "color": {"field": x_field, "type": "nominal"},
         }
     else:
+        x_type = field_type([x for x, _ in points])
+        y_type = field_type([y for _, y in points])
         encoding = {
             "x": {"field": x_field, "type": x_type},
             "y": {"field": y_field, "type": y_type},
         }
-        if vql.bin_column and vql.bin_unit:
-            encoding["x"]["timeUnit"] = vql.bin_unit
-
+        if time_unit:
+            encoding["x"]["timeUnit"] = time_unit
     return {
-        "mark": _MARKS[vql.chart_type],
+        "mark": _MARKS[chart_type],
         "encoding": encoding,
-        "data": {"values": values},
+        "data": {"values": [{x_field: x, y_field: y} for x, y in points]},
     }
 
 
@@ -94,8 +105,3 @@ def field_type(values: list[Value]) -> str:
     if non_null and all(looks_temporal(v) for v in non_null):
         return "temporal"
     return "nominal"
-
-
-#: backwards-compatible aliases for the pre-typer private names
-_field_type = field_type
-_looks_temporal = looks_temporal

@@ -17,26 +17,26 @@ class TestExecutorEdges:
         result = run(
             shop_db, "SELECT name FROM products WHERE name LIKE 'g_dget'"
         )
-        assert result.rows == [("gadget",)]
+        assert result.rows == (("gadget",),)
 
     def test_like_escaping_of_regex_chars(self, shop_schema):
         db = Database(schema=shop_schema)
         db.insert("products", (1, "a.b", "x", 1.0))
         db.insert("products", (2, "acb", "x", 1.0))
         result = run(db, "SELECT name FROM products WHERE name LIKE 'a.b'")
-        assert result.rows == [("a.b",)]  # dot is literal, not regex
+        assert result.rows == (("a.b",),)  # dot is literal, not regex
 
     def test_mixed_int_float_arithmetic(self, shop_db):
         result = run(shop_db, "SELECT 3 + 2.5")
-        assert result.rows == [(5.5,)]
+        assert result.rows == ((5.5,),)
 
     def test_string_concatenation_via_plus(self, shop_db):
         result = run(shop_db, "SELECT 'a' + 'b'")
-        assert result.rows == [("ab",)]
+        assert result.rows == (("ab",),)
 
     def test_modulo_and_zero(self, shop_db):
-        assert run(shop_db, "SELECT 7 % 3").rows == [(1,)]
-        assert run(shop_db, "SELECT 7 % 0").rows == [(None,)]
+        assert run(shop_db, "SELECT 7 % 3").rows == ((1,),)
+        assert run(shop_db, "SELECT 7 % 0").rows == ((None,),)
 
     def test_alias_shadowing_in_correlated_subquery(self, shop_db):
         # inner binding 'p' shadows any outer name; correlation still works
@@ -49,7 +49,7 @@ class TestExecutorEdges:
 
     def test_count_distinct_with_nulls(self, shop_db):
         result = run(shop_db, "SELECT COUNT(DISTINCT price) FROM products")
-        assert result.rows == [(3,)]  # NULL excluded
+        assert result.rows == ((3,),)  # NULL excluded
 
     def test_order_by_expression(self, shop_db):
         result = run(
@@ -60,14 +60,14 @@ class TestExecutorEdges:
         assert result.rows[0] == ("gadget",)
 
     def test_limit_zero(self, shop_db):
-        assert run(shop_db, "SELECT name FROM products LIMIT 0").rows == []
+        assert run(shop_db, "SELECT name FROM products LIMIT 0").rows == ()
 
     def test_empty_table_aggregates(self, shop_schema):
         db = Database(schema=shop_schema)
         result = run(
             db, "SELECT COUNT(*), SUM(price), MIN(price) FROM products"
         )
-        assert result.rows == [(0, None, None)]
+        assert result.rows == ((0, None, None),)
 
     def test_group_by_null_key(self, shop_schema):
         db = Database(schema=shop_schema)
@@ -83,14 +83,14 @@ class TestExecutorEdges:
         result = run(
             shop_db, "SELECT name FROM products WHERE price BETWEEN 10 AND 1"
         )
-        assert result.rows == []
+        assert result.rows == ()
 
     def test_scalar_subquery_empty_is_null(self, shop_db):
         result = run(
             shop_db,
             "SELECT (SELECT price FROM products WHERE id = 999)",
         )
-        assert result.rows == [(None,)]
+        assert result.rows == ((None,),)
 
     def test_union_of_aggregates(self, shop_db):
         result = run(
@@ -158,7 +158,7 @@ class TestSchemaEdges:
         schema.validate()
         db = Database(schema=schema)
         db.insert("t", ("v",))
-        assert run(db, "SELECT only FROM t").rows == [("v",)]
+        assert run(db, "SELECT only FROM t").rows == (("v",),)
 
 
 class TestVQLEdges:
@@ -222,4 +222,4 @@ class TestSystemsEdges:
             "How many products?", db
         )
         assert response.kind == "data"
-        assert response.result.rows == [(0,)]
+        assert response.result.rows == ((0,),)

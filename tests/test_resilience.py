@@ -451,8 +451,8 @@ class TestPeek:
         peeked = rescache.peek(query, shop_db)
         assert peeked is not None
         assert peeked.rows == expected.rows
-        # a fresh copy, not the cached object
-        assert peeked is not rescache.peek(query, shop_db)
+        # the cached object itself: a Result is immutable, so it is shared
+        assert peeked is rescache.peek(query, shop_db)
 
     def test_peek_misses_after_mutation(self, shop_db):
         query = parse_sql("SELECT name FROM products")
@@ -498,7 +498,7 @@ class TestPipelineLadders:
         trace = pipeline.run("how many products are there", shop_db)
         clear_faults()
         assert trace.error is None
-        assert trace.result.rows == [(4,)]
+        assert trace.result.rows == ((4,),)
         assert "translate:rule-fallback" in trace.degraded
 
     def test_hard_parser_outage_falls_back(self, shop_db):
@@ -506,8 +506,8 @@ class TestPipelineLadders:
         pipeline = _pipeline(_policy(), sql_parser=exploding)
         trace = pipeline.run("how many products are there", shop_db)
         assert trace.error is None
-        assert trace.result.rows == [(4,)]
-        assert trace.degraded == ["translate:rule-fallback"]
+        assert trace.result.rows == ((4,),)
+        assert trace.degraded == ("translate:rule-fallback",)
         # the retry wrapper attempted the primary max_attempts times
         assert exploding.calls == 2
 
@@ -521,7 +521,7 @@ class TestPipelineLadders:
         clear_faults()
         assert trace.error is None
         assert trace.result.rows == warm.result.rows
-        assert trace.degraded == ["execute:cached-result"]
+        assert trace.degraded == ("execute:cached-result",)
         assert not trace.cached  # served by the ladder, not the turn cache
 
     def test_execute_fault_cold_cache_fails_closed(self, shop_db):
@@ -531,7 +531,7 @@ class TestPipelineLadders:
         trace = pipeline.run("how many products are there", shop_db)
         clear_faults()
         assert trace.error == "execution failed"
-        assert trace.degraded == ["execute:failed"]
+        assert trace.degraded == ("execute:failed",)
         assert trace.result is None
 
     def test_vector_fault_degrades_to_row_engine(self, shop_db):
@@ -544,8 +544,8 @@ class TestPipelineLadders:
         )
         clear_faults()
         assert trace.error is None
-        assert trace.result.rows == [(4,)]
-        assert trace.degraded == ["execute:vector-off"]
+        assert trace.result.rows == ((4,),)
+        assert trace.degraded == ("execute:vector-off",)
         assert vector_mod.vector_enabled()  # toggle restored
 
     def test_render_fault_degrades_to_data_only(self, shop_db):
@@ -560,7 +560,7 @@ class TestPipelineLadders:
         assert trace.error is None
         assert trace.result is not None
         assert trace.result.rows  # the chart's underlying data
-        assert trace.degraded == ["render:data-only"]
+        assert trace.degraded == ("render:data-only",)
 
     def test_breaker_trips_and_skips_dead_component(self, shop_db):
         exploding = _ExplodingParser()
@@ -632,7 +632,7 @@ class TestPipelineLadders:
         install_faults("execute:error")
         degraded = pipeline.run(question, shop_db)
         clear_faults()
-        assert degraded.degraded == ["execute:cached-result"]
+        assert degraded.degraded == ("execute:cached-result",)
         healthy = pipeline.run(question, shop_db)
         assert healthy.error is None
         assert not healthy.degraded
@@ -755,7 +755,7 @@ class TestSystemsSurface:
         system = PipelineSystem()
         response = system.answer("how many products are there", shop_db)
         assert response.kind == "data"
-        assert response.result.rows == [(4,)]
+        assert response.result.rows == ((4,),)
         assert not response.is_degraded
 
     def test_session_surfaces_degraded_turns(self, shop_db):

@@ -133,7 +133,7 @@ class TestEnvelope:
             queue_seconds=0.25,
             service_seconds=0.5,
         )
-        assert ok.rows == [(1,)] and ok.columns == ["a"]
+        assert ok.rows == ((1,),) and ok.columns == ("a",)
         assert ok.total_seconds == pytest.approx(0.75)
         assert "1 row(s)" in ok.describe()
 
@@ -392,7 +392,8 @@ class TestConcurrentServing:
         assert len({tuple(r.rows) for r in responses}) == 1
         assert len(calls) == 1  # one leader translated for all eight
         assert counter("repro.pipeline.turn_cache.followers") >= 1
-        assert len({id(r.result) for r in responses}) == 8
+        # one immutable result shared by the leader and its followers
+        assert len({id(r.result) for r in responses}) == 1
 
     def test_failed_leader_does_not_poison_followers(self, sales_db):
         system = ScriptedSystem(delay=0.02, fail_on="boom")
@@ -500,8 +501,8 @@ def _trace(question: str = "q", degraded: tuple = ()) -> PipelineTrace:
     return PipelineTrace(
         question=question,
         result=Result(columns=["q"], rows=[(question,)]),
-        chart=Chart("bar", "x", "y", [(question, 1)], spec={"mark": "bar"}),
-        degraded=list(degraded),
+        chart=Chart("bar", "x", "y", [(question, 1)]),
+        degraded=degraded,
     )
 
 
@@ -548,7 +549,7 @@ def _run_concurrently(cache, key, compute, threads: int) -> list:
 
 
 class TestTurnCache:
-    def test_followers_get_private_copies(self):
+    def test_followers_share_one_immutable_view(self):
         cache = TurnCache()
         calls: list[int] = []
 
@@ -558,20 +559,32 @@ class TestTurnCache:
 
         out = _run_concurrently(cache, ("k",), compute, threads=4)
         assert len(calls) == 1 and len(out) == 4
-        assert sum(1 for t in out if t.cached) == 3  # the followers
-        assert all(t.result.rows == [("q",)] for t in out)
-        for attr in (
-            lambda t: t.result,
-            lambda t: t.result.rows,
-            lambda t: t.chart,
-            lambda t: t.chart.points,
-            lambda t: t.chart.spec,
+        followers = [t for t in out if t.cached]
+        (leader,) = [t for t in out if not t.cached]
+        assert len(followers) == 3
+        assert all(t.result.rows == (("q",),) for t in out)
+        # the followers share one cached view, and it shares the
+        # leader's result and chart
+        assert all(t is followers[0] for t in followers)
+        assert followers[0] is not leader
+        assert followers[0].result is leader.result
+        assert followers[0].chart is leader.chart
+        # a fresh spec dict per read: nothing shared is mutable
+        assert out[0].chart.spec is not out[1].chart.spec
+        for mutate in (
+            lambda t: setattr(t, "result", None),
+            lambda t: setattr(t.result, "rows", ()),
+            lambda t: t.result.rows.clear(),
+            lambda t: setattr(t.chart, "points", ()),
+            lambda t: t.chart.points.clear(),
         ):
-            assert len({id(attr(t)) for t in out}) == 4
-        out[0].result.rows.clear()
-        out[0].chart.points.clear()
+            with pytest.raises(AttributeError):
+                mutate(out[0])
+        out[0].chart.spec.clear()
         replay = cache.get_or_compute(("k",), compute)
-        assert replay.result.rows and replay.chart.points
+        assert replay is followers[0]
+        assert replay.result.rows == (("q",),)
+        assert replay.chart.points == (("q", 1),) and replay.chart.spec
         assert counter("repro.pipeline.turn_cache.hits") == 1
 
     def test_raising_leader_frees_followers(self):
@@ -687,7 +700,7 @@ class TestTurnCache:
             thread.join(timeout=30)
         assert computed == {key: 1 for key in keys}
         assert len(out) == 8 * 60
-        assert all(t.result.rows == [(t.question,)] for t in out)
+        assert all(t.result.rows == ((t.question,),) for t in out)
 
 
 # ----------------------------------------------------------------------

@@ -33,9 +33,9 @@ def run(db, sql):
 class TestProjectionAndFilter:
     def test_select_column(self, shop_db):
         result = run(shop_db, "SELECT name FROM products")
-        assert result.rows == [
+        assert result.rows == (
             ("widget",), ("gadget",), ("apple",), ("bread",),
-        ]
+        )
 
     def test_select_star_expands(self, shop_db):
         result = run(shop_db, "SELECT * FROM products")
@@ -44,38 +44,38 @@ class TestProjectionAndFilter:
 
     def test_where_filters(self, shop_db):
         result = run(shop_db, "SELECT name FROM products WHERE price > 5")
-        assert result.rows == [("widget",), ("gadget",)]
+        assert result.rows == (("widget",), ("gadget",))
 
     def test_where_string_equality(self, shop_db):
         result = run(
             shop_db, "SELECT name FROM products WHERE category = 'food'"
         )
-        assert result.rows == [("apple",), ("bread",)]
+        assert result.rows == (("apple",), ("bread",))
 
     def test_like_case_insensitive(self, shop_db):
         result = run(shop_db, "SELECT name FROM products WHERE name LIKE '%GET%'")
-        assert result.rows == [("widget",), ("gadget",)]
+        assert result.rows == (("widget",), ("gadget",))
 
     def test_between(self, shop_db):
         result = run(
             shop_db, "SELECT name FROM products WHERE price BETWEEN 1 AND 10"
         )
-        assert result.rows == [("widget",), ("apple",)]
+        assert result.rows == (("widget",), ("apple",))
 
     def test_in_list(self, shop_db):
         result = run(
             shop_db,
             "SELECT name FROM products WHERE category IN ('tools', 'toys')",
         )
-        assert result.rows == [("widget",), ("gadget",)]
+        assert result.rows == (("widget",), ("gadget",))
 
     def test_arithmetic_in_projection(self, shop_db):
         result = run(shop_db, "SELECT price * 2 FROM products WHERE id = 1")
-        assert result.rows == [(19.0,)]
+        assert result.rows == ((19.0,),)
 
     def test_distinct(self, shop_db):
         result = run(shop_db, "SELECT DISTINCT category FROM products")
-        assert result.rows == [("tools",), ("food",)]
+        assert result.rows == (("tools",), ("food",))
 
     def test_limit(self, shop_db):
         result = run(shop_db, "SELECT name FROM products LIMIT 2")
@@ -92,17 +92,17 @@ class TestNullSemantics:
 
     def test_is_null(self, shop_db):
         result = run(shop_db, "SELECT name FROM products WHERE price IS NULL")
-        assert result.rows == [("bread",)]
+        assert result.rows == (("bread",),)
 
     def test_is_not_null(self, shop_db):
         result = run(
             shop_db, "SELECT COUNT(*) FROM products WHERE price IS NOT NULL"
         )
-        assert result.rows == [(3,)]
+        assert result.rows == ((3,),)
 
     def test_count_column_skips_nulls(self, shop_db):
         result = run(shop_db, "SELECT COUNT(price), COUNT(*) FROM products")
-        assert result.rows == [(3, 4)]
+        assert result.rows == ((3, 4),)
 
     def test_aggregate_skips_nulls(self, shop_db):
         result = run(shop_db, "SELECT AVG(price) FROM products")
@@ -112,11 +112,11 @@ class TestNullSemantics:
         result = run(
             shop_db, "SELECT SUM(price) FROM products WHERE id > 100"
         )
-        assert result.rows == [(None,)]
+        assert result.rows == ((None,),)
 
     def test_count_of_empty_group_is_zero(self, shop_db):
         result = run(shop_db, "SELECT COUNT(*) FROM products WHERE id > 100")
-        assert result.rows == [(0,)]
+        assert result.rows == ((0,),)
 
     def test_nulls_sort_first_ascending(self, shop_db):
         result = run(shop_db, "SELECT name, price FROM products ORDER BY price")
@@ -124,13 +124,13 @@ class TestNullSemantics:
 
     def test_division_by_zero_is_null(self, shop_db):
         result = run(shop_db, "SELECT 1 / 0")
-        assert result.rows == [(None,)]
+        assert result.rows == ((None,),)
 
     def test_not_null_is_null(self, shop_db):
         result = run(
             shop_db, "SELECT name FROM products WHERE NOT price > 0"
         )
-        assert result.rows == []  # NULL stays NULL under NOT
+        assert result.rows == ()  # NULL stays NULL under NOT
 
 
 class TestAggregation:
@@ -139,13 +139,13 @@ class TestAggregation:
             shop_db,
             "SELECT category, COUNT(*) FROM products GROUP BY category",
         )
-        assert result.rows == [("tools", 2), ("food", 2)]
+        assert result.rows == (("tools", 2), ("food", 2))
 
     def test_group_by_preserves_first_seen_order(self, shop_db):
         result = run(
             shop_db, "SELECT quarter, COUNT(*) FROM sales GROUP BY quarter"
         )
-        assert result.rows == [("Q1", 2), ("Q2", 3)]
+        assert result.rows == (("Q1", 2), ("Q2", 3))
 
     def test_having(self, shop_db):
         result = run(
@@ -153,19 +153,19 @@ class TestAggregation:
             "SELECT quarter, COUNT(*) FROM sales GROUP BY quarter "
             "HAVING COUNT(*) > 2",
         )
-        assert result.rows == [("Q2", 3)]
+        assert result.rows == (("Q2", 3),)
 
     def test_min_max(self, shop_db):
         result = run(shop_db, "SELECT MIN(price), MAX(price) FROM products")
-        assert result.rows == [(1.0, 19.0)]
+        assert result.rows == ((1.0, 19.0),)
 
     def test_count_distinct(self, shop_db):
         result = run(shop_db, "SELECT COUNT(DISTINCT category) FROM products")
-        assert result.rows == [(2,)]
+        assert result.rows == ((2,),)
 
     def test_aggregate_without_group_on_whole_table(self, shop_db):
         result = run(shop_db, "SELECT SUM(quantity) FROM sales")
-        assert result.rows == [(21,)]
+        assert result.rows == ((21,),)
 
     def test_group_ordering_by_aggregate_alias(self, shop_db):
         result = run(
@@ -173,7 +173,7 @@ class TestAggregation:
             "SELECT quarter, COUNT(*) AS n FROM sales GROUP BY quarter "
             "ORDER BY n DESC",
         )
-        assert result.rows == [("Q2", 3), ("Q1", 2)]
+        assert result.rows == (("Q2", 3), ("Q1", 2))
 
 
 class TestJoins:
@@ -183,7 +183,7 @@ class TestJoins:
             "SELECT p.name, s.quantity FROM sales AS s JOIN products AS p "
             "ON s.product_id = p.id WHERE s.quarter = 'Q1'",
         )
-        assert result.rows == [("widget", 3), ("gadget", 1)]
+        assert result.rows == (("widget", 3), ("gadget", 1))
 
     def test_left_join_keeps_unmatched(self, shop_schema):
         from repro.data.database import Database
@@ -195,7 +195,7 @@ class TestJoins:
             "SELECT p.name, s.quantity FROM products AS p LEFT JOIN sales "
             "AS s ON s.product_id = p.id",
         )
-        assert result.rows == [("lonely", None)]
+        assert result.rows == (("lonely", None),)
 
     def test_left_join_empty_right_table_null_pads_full_schema(
         self, shop_schema
@@ -214,13 +214,13 @@ class TestJoins:
         )
         sales_width = len(shop_schema.table("sales").columns)
         products_width = len(shop_schema.table("products").columns)
-        assert result.columns[products_width:] == [
+        assert result.columns[products_width:] == tuple(
             f"s.{c.name}" for c in shop_schema.table("sales").columns
-        ]
-        assert result.rows == [
+        )
+        assert result.rows == (
             (1, "lonely", "misc", 5.0) + (None,) * sales_width,
             (2, "solo", "misc", 7.0) + (None,) * sales_width,
-        ]
+        )
 
     def test_join_aggregate(self, shop_db):
         result = run(
@@ -246,7 +246,7 @@ class TestSubqueries:
             "SELECT name FROM products WHERE id IN "
             "(SELECT product_id FROM sales WHERE quantity > 4)",
         )
-        assert result.rows == [("apple",), ("bread",)]
+        assert result.rows == (("apple",), ("bread",))
 
     def test_correlated_exists(self, shop_db):
         result = run(
@@ -255,7 +255,7 @@ class TestSubqueries:
             "(SELECT * FROM sales AS s WHERE s.product_id = p.id "
             "AND s.quantity > 4)",
         )
-        assert result.rows == [("apple",), ("bread",)]
+        assert result.rows == (("apple",), ("bread",))
 
     def test_scalar_subquery_average(self, shop_db):
         result = run(
@@ -263,7 +263,7 @@ class TestSubqueries:
             "SELECT name FROM products WHERE price > "
             "(SELECT AVG(price) FROM products)",
         )
-        assert result.rows == [("gadget",)]
+        assert result.rows == (("gadget",),)
 
     def test_in_subquery_with_null_no_match_is_unknown(self, shop_schema):
         from repro.data.database import Database
@@ -276,7 +276,7 @@ class TestSubqueries:
             "SELECT name FROM products WHERE id NOT IN "
             "(SELECT product_id FROM sales)",
         )
-        assert result.rows == []  # NOT IN over a NULL-containing set
+        assert result.rows == ()  # NOT IN over a NULL-containing set
 
 
 class TestSetOperations:
@@ -286,7 +286,7 @@ class TestSetOperations:
             "SELECT category FROM products UNION SELECT category "
             "FROM products",
         )
-        assert result.rows == [("tools",), ("food",)]
+        assert result.rows == (("tools",), ("food",))
 
     def test_union_all_keeps_duplicates(self, shop_db):
         result = run(
@@ -302,7 +302,7 @@ class TestSetOperations:
             "SELECT name FROM products WHERE price > 5 INTERSECT "
             "SELECT name FROM products WHERE category = 'tools'",
         )
-        assert result.rows == [("widget",), ("gadget",)]
+        assert result.rows == (("widget",), ("gadget",))
 
     def test_except(self, shop_db):
         result = run(
@@ -310,7 +310,7 @@ class TestSetOperations:
             "SELECT name FROM products EXCEPT SELECT name FROM products "
             "WHERE category = 'food'",
         )
-        assert result.rows == [("widget",), ("gadget",)]
+        assert result.rows == (("widget",), ("gadget",))
 
     def test_arity_mismatch_raises(self, shop_db):
         with pytest.raises(ExecutionError):
@@ -322,7 +322,7 @@ class TestOrdering:
         result = run(
             shop_db, "SELECT name FROM products ORDER BY price DESC LIMIT 2"
         )
-        assert result.rows == [("gadget",), ("widget",)]
+        assert result.rows == (("gadget",), ("widget",))
 
     def test_multi_key_sort_stable(self, shop_db):
         result = run(
@@ -330,10 +330,10 @@ class TestOrdering:
             "SELECT category, name FROM products ORDER BY category ASC, "
             "name ASC",
         )
-        assert result.rows == [
+        assert result.rows == (
             ("food", "apple"), ("food", "bread"),
             ("tools", "gadget"), ("tools", "widget"),
-        ]
+        )
 
     def test_result_ordered_flag(self, shop_db):
         assert run(shop_db, "SELECT name FROM products ORDER BY name").ordered
@@ -347,11 +347,11 @@ class TestScalarFunctions:
             "SELECT upper(name), lower(category), length(name) "
             "FROM products WHERE id = 1",
         )
-        assert result.rows == [("WIDGET", "tools", 6)]
+        assert result.rows == (("WIDGET", "tools", 6),)
 
     def test_abs_round(self, shop_db):
         result = run(shop_db, "SELECT abs(-3), round(2.567, 1)")
-        assert result.rows == [(3, 2.6)]
+        assert result.rows == ((3, 2.6),)
 
     def test_unknown_function_raises(self, shop_db):
         with pytest.raises(ExecutionError):

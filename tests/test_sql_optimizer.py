@@ -401,30 +401,30 @@ class TestStalePlanHazard:
         clear_plan_caches()
         sql = "SELECT name FROM products WHERE id = 99"
         first = compile_sql(sql, shop_db.schema, shop_db).run(shop_db)
-        assert first.rows == []
+        assert first.rows == ()
         shop_db.insert("products", (99, "late", "tools", 1.0))
         second = compile_sql(sql, shop_db.schema, shop_db).run(shop_db)
-        assert second.rows == [("late",)]
+        assert second.rows == (("late",),)
         assert plan_cache_stats()["hits"] >= 1  # same plan object both times
 
     def test_insert_invalidates_sorted_index_topk(self, shop_db):
         clear_plan_caches()
         sql = "SELECT name FROM products ORDER BY price DESC LIMIT 1"
         first = compile_sql(sql, shop_db.schema, shop_db).run(shop_db)
-        assert first.rows == [("gadget",)]
+        assert first.rows == (("gadget",),)
         shop_db.insert("products", (50, "deluxe", "tools", 500.0))
         second = compile_sql(sql, shop_db.schema, shop_db).run(shop_db)
-        assert second.rows == [("deluxe",)]
+        assert second.rows == (("deluxe",),)
 
     def test_stats_refresh_across_variants(self, shop_db):
         # one cached plan, executed against a structurally different copy
         clear_plan_caches()
         sql = "SELECT COUNT(*) FROM sales WHERE quantity >= 3"
         plan = compile_sql(sql, shop_db.schema, shop_db)
-        assert plan.run(shop_db).rows == [(3,)]
+        assert plan.run(shop_db).rows == ((3,),)
         variant = shop_db.copy()
         variant.table("sales").replace_rows([(1, 1, 9, "Q9")])
-        assert plan.run(variant).rows == [(1,)]
+        assert plan.run(variant).rows == ((1,),)
 
 
 # ----------------------------------------------------------------------

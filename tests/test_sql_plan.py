@@ -141,7 +141,7 @@ class TestJoinStrategies:
             "ON l.k = r.k",
             null_key_db,
         )
-        assert result.rows == [("a", "x")]
+        assert result.rows == (("a", "x"),)
 
     def test_null_keys_left_join_pads(self, null_key_db):
         result = assert_engines_agree(
@@ -149,9 +149,9 @@ class TestJoinStrategies:
             "ON l.k = r.k ORDER BY l.id",
             null_key_db,
         )
-        assert result.rows == [
+        assert result.rows == (
             ("a", "x"), ("b", None), ("c", None), ("d", None),
-        ]
+        )
 
     def test_hash_and_nested_loop_agree_on_same_equi_join(self, null_key_db):
         # The same logical join answered by both physical strategies: the

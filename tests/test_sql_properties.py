@@ -252,7 +252,7 @@ def test_union_all_concatenates(rows, where):
 def test_count_star_equals_row_count(rows):
     db = _make_db(rows)
     result = execute(parse_sql("SELECT COUNT(*) FROM items"), db)
-    assert result.rows == [(len(rows),)]
+    assert result.rows == ((len(rows),),)
 
 
 @settings(max_examples=60, deadline=None)

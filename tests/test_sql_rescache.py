@@ -2,7 +2,8 @@
 
 Three layers: the canonicalizer contract (idempotent; canonical-equal
 queries are result-identical), the cache proper (hits, version-stamped
-invalidation, cost-aware eviction, error caching, defensive copies), and
+invalidation, cost-aware eviction, error caching, shared immutable
+results), and
 the consumers that ride it (metric gold caches, pipeline turn memo,
 interactive sessions).  The staleness property test interleaves mutations
 with cached reads across all three engines against the uncached reference
@@ -219,13 +220,18 @@ class TestResultCache:
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert r.rows
 
-    def test_hit_returns_defensive_copy(self, shop_db):
+    def test_hit_returns_shared_immutable_result(self, shop_db):
         q = parse_sql("SELECT name FROM products")
         first = execute(q, shop_db)
-        first.rows.clear()
-        first.columns.append("junk")
+        with pytest.raises(AttributeError):
+            first.rows.clear()
+        with pytest.raises(AttributeError):
+            first.columns.append("junk")
+        with pytest.raises(AttributeError):
+            first.rows = ()
         second = execute(q, shop_db)
-        assert second.rows and second.columns == ["name"]
+        assert second is first
+        assert second.rows and second.columns == ("name",)
 
     @pytest.mark.parametrize(
         "mutate",
@@ -444,10 +450,15 @@ class TestConsumers:
         assert first.succeeded and second.succeeded
         assert not first.cached and second.cached
         assert _snap(second.result) == _snap(first.result)
-        # caller mutation cannot poison the memo
-        second.result.rows.clear()
+        # caller mutation cannot poison the memo: the replay is immutable
+        # and shares the leader's result
+        assert second.result is first.result
+        with pytest.raises(AttributeError):
+            second.result.rows.clear()
+        with pytest.raises(AttributeError):
+            second.result = None
         third = pipeline.run(question, shop_db)
-        assert third.cached and third.result.rows
+        assert third is second and third.cached and third.result.rows
         # a mutation retires the memo entry
         shop_db.table("products").append((9, "new", "tools", 2.0))
         fourth = pipeline.run(question, shop_db)
@@ -541,15 +552,22 @@ class TestConsumers:
         first = pipeline.run(question, sales_db)
         second = pipeline.run(question, sales_db)
         assert first.succeeded and second.cached and second.chart is not None
-        # mutating a replayed chart or stage record must not leak into
-        # the memo or other replays
-        second.chart.points.clear()
+        # a replayed chart or stage record cannot be mutated, and the
+        # spec is a fresh dict per read, so nothing leaks into the memo
+        # or other replays
+        for mutate in (
+            lambda t: t.chart.points.clear(),
+            lambda t: setattr(t.chart, "points", ()),
+            lambda t: setattr(t.stages[0], "output", "tampered"),
+            lambda t: t.stages.append(None),
+        ):
+            with pytest.raises(AttributeError):
+                mutate(second)
         second.chart.spec.clear()
-        second.stages[0].output = "tampered"
         third = pipeline.run(question, sales_db)
         assert third.cached and third.chart.points and third.chart.spec
         assert third.stages[0].output != "tampered"
-        assert third.chart is not second.chart
+        assert third is second and third.chart is first.chart
 
     def test_session_memo_not_poisoned(self, sales_db):
         from repro.systems import PipelineSystem
@@ -561,10 +579,12 @@ class TestConsumers:
         session.reset()
         second = session.ask(question)
         assert second.result is not None
-        # the replay is a fresh object sharing no mutable state with the
-        # memo entry or the first transcript entry
-        assert second is not first and second.result is not first.result
-        second.result.rows.clear()
+        # the replay is a fresh per-caller response that shares the one
+        # immutable result with the memo entry and the first transcript
+        # entry
+        assert second is not first and second.result is first.result
+        with pytest.raises(AttributeError):
+            second.result.rows.clear()
         session.reset()
         third = session.ask(question)
         assert third.result.rows and first.result.rows
@@ -579,8 +599,9 @@ class TestConsumers:
         assert first.chart is not None
         session.reset()
         second = session.ask(question)
-        assert second.chart is not first.chart
-        second.chart.points.clear()
+        assert second is not first and second.chart is first.chart
+        with pytest.raises(AttributeError):
+            second.chart.points.clear()
         session.reset()
         third = session.ask(question)
         assert third.chart.points
@@ -780,8 +801,8 @@ class TestConcurrentAccess:
         assert final.rows[0][0] == len(table.rows)
 
     def test_racing_hits_share_one_store(self, shop_db):
-        """Pure read contention: every thread gets the right rows and the
-        returned results are defensive copies, never shared aliases."""
+        """Pure read contention: every thread gets the right rows, all
+        from the one stored (immutable) result."""
         import threading
 
         query = parse_sql("SELECT name FROM products ORDER BY name")
@@ -812,5 +833,6 @@ class TestConcurrentAccess:
         wrong = [entry for entry in out if entry[0] == "wrong"]
         finals = [entry[1] for entry in out if entry[0] == "obj"]
         assert wrong == []
-        # one private copy per caller, never shared aliases
-        assert len({id(result) for result in finals}) == self.THREADS
+        # one shared immutable result, never a copy per caller
+        assert len(finals) == self.THREADS
+        assert all(result is finals[0] for result in finals)

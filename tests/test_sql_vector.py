@@ -158,7 +158,7 @@ def test_typed_literals_never_share_a_cached_plan(twins, shop_db):
         sql = f"SELECT {literal} FROM products"
         expected = execute_reference(parse_sql(sql), shop_db)
         got = execute(parse_sql(sql), shop_db)
-        assert got.columns == expected.columns == [literal.lower()], sql
+        assert got.columns == expected.columns == (literal.lower(),), sql
         assert _typed(got.rows) == _typed(expected.rows), sql
         assert_cached_paths_agree(sql, shop_db)
 

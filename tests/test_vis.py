@@ -154,7 +154,7 @@ class TestCharts:
             shop_db,
         )
         assert chart.chart_type == "bar"
-        assert chart.points == [("tools", 2), ("food", 2)]
+        assert chart.points == (("tools", 2), ("food", 2))
         ascii_art = chart.to_ascii()
         assert "tools" in ascii_art and "█" in ascii_art
 
