@@ -29,7 +29,7 @@ from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
 from repro.sql import rescache as _rescache
 from repro.sql.executor import Result, execute
-from repro.sql.plan import _parse_cached
+from repro.sql import parse_sql_cached
 
 _registry = _obs_metrics.get_registry()
 _GOLD_HITS = _registry.counter("repro.metrics.execution.gold_cache.hits")
@@ -51,7 +51,7 @@ def _gold_result_cached(
     *query* optionally supplies an already parsed AST to skip the parse.
     """
     try:
-        gold_query = query if query is not None else _parse_cached(gold)
+        gold_query = query if query is not None else parse_sql_cached(gold)
     except SQLError as exc:
         _GOLD_MISSES.inc()
         return exc
@@ -85,7 +85,7 @@ def _execution_match(predicted: str, gold: str, db: Database) -> bool:
     try:
         # execute() (rather than a raw plan run) so predictions share the
         # result cache too — candidate lists are full of repeats
-        pred_result = execute(_parse_cached(predicted), db)
+        pred_result = execute(parse_sql_cached(predicted), db)
     except SQLError:
         return False
     return results_equal(pred_result, gold_result)

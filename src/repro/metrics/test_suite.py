@@ -34,7 +34,7 @@ from repro.metrics.execution import _gold_result_cached, results_equal
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
 from repro.sql.executor import execute
-from repro.sql.plan import _parse_cached
+from repro.sql import parse_sql_cached
 
 _VARIANT_CACHE_MAX = 8
 
@@ -104,8 +104,8 @@ def _test_suite_match_impl(
     seed: int,
 ) -> bool:
     try:
-        gold_query = _parse_cached(gold)
-        pred_query = _parse_cached(predicted)
+        gold_query = parse_sql_cached(gold)
+        pred_query = parse_sql_cached(predicted)
     except SQLError:
         return False
     probes = tuple(_literal_values(gold_query) | _literal_values(pred_query))

@@ -49,6 +49,11 @@ class SchemaLinker:
         self._index: dict[str, tuple[str, str, str | None]] = {}
         self._column_candidates: dict[str, list[tuple[str, str]]] = {}
         self._build_index()
+        #: words in the longest indexed surface: the widest window
+        #: ``_match_at`` ever needs to try
+        self._max_len = max(
+            (s.count(" ") + 1 for s in self._index), default=1
+        )
 
     # ------------------------------------------------------------------
     def _build_index(self) -> None:
@@ -98,7 +103,7 @@ class SchemaLinker:
         words = _word_spans(lowered)
         mentions: list[Mention] = []
         i = 0
-        max_len = max((s.count(" ") + 1 for s in self._index), default=1)
+        max_len = self._max_len
         while i < len(words):
             match = self._match_at(lowered, words, i, max_len)
             if match is None and self.fuzzy:
@@ -200,8 +205,11 @@ class SchemaLinker:
         return (columns or mentions)[-1]
 
 
+_WORD_RE = re.compile(r"[a-z0-9_']+")
+
+
 def _word_spans(text: str) -> list[tuple[int, int]]:
-    return [m.span() for m in re.finditer(r"[a-z0-9_']+", text)]
+    return [m.span() for m in _WORD_RE.finditer(text)]
 
 
 def _number_variants(mention: str) -> list[str]:

@@ -58,10 +58,11 @@ from repro.sql.ast import (
     TableRef,
 )
 
-_OPENERS = (
+#: question openers, longest first (``_strip_opener`` takes the first hit)
+_OPENERS: tuple[str, ...] = tuple(sorted((
     "show", "list", "what are", "what is", "give me", "return", "find",
     "display", "tell me", "compute", "draw", "plot", "visualize",
-)
+), key=len, reverse=True))
 
 #: op-phrase -> SQL operator, longest phrases first at match time.
 _OP_PHRASES: dict[str, str] = {
@@ -87,6 +88,13 @@ _OP_PHRASES: dict[str, str] = {
     "is": "=",
 }
 
+#: every op phrase with its word-bounded pattern, longest phrase first
+#: (``sorted`` is stable, so equal lengths keep declaration order)
+_OP_PATTERNS: tuple[tuple[str, re.Pattern], ...] = tuple(
+    (phrase, re.compile(r"\b" + re.escape(phrase) + r"\b"))
+    for phrase in sorted(_OP_PHRASES, key=len, reverse=True)
+)
+
 _AGG_CUES: tuple[tuple[str, str], ...] = (
     ("average", "avg"), ("mean", "avg"), ("typical", "avg"),
     ("total", "sum"), ("sum of", "sum"), ("combined", "sum"),
@@ -96,13 +104,60 @@ _AGG_CUES: tuple[tuple[str, str], ...] = (
 
 #: connective regex -> set operation.  The bare " or " pattern must not
 #: fire inside comparative phrases like "greater than or equal to".
-_SET_CONNECTIVES: tuple[tuple[str, str], ...] = (
-    (r"\s+but not\s+", "except"),
-    (r"\s+excluding\s+", "except"),
-    (r"\s+and also\s+", "intersect"),
-    (r"\s+that also\s+", "intersect"),
-    (r"\s+as well as\s+", "union"),
-    (r"(?<!than)\s+or\s+(?!equal\b)", "union"),
+_SET_CONNECTIVES: tuple[tuple[re.Pattern, str], ...] = tuple(
+    (re.compile(pattern, re.IGNORECASE), op)
+    for pattern, op in (
+        (r"\s+but not\s+", "except"),
+        (r"\s+excluding\s+", "except"),
+        (r"\s+and also\s+", "intersect"),
+        (r"\s+that also\s+", "intersect"),
+        (r"\s+as well as\s+", "union"),
+        (r"(?<!than)\s+or\s+(?!equal\b)", "union"),
+    )
+)
+
+# The grammar's fixed patterns, compiled once at import.  Clause
+# extraction:
+_NESTED_RE = re.compile(r"\bthat have\s+(.+?)\s+whose\s+(.+)$", re.IGNORECASE)
+_WHOSE_RE = re.compile(r"\bwhose\b", re.IGNORECASE)
+_DISTINCT_RE = re.compile(r"\bdistinct\b", re.IGNORECASE)
+# projection:
+_PROJECTION_RE = re.compile(
+    r"^(?:the\s+)?(.+?)\s+(?:values\s+)?of\s+(.+)$", re.IGNORECASE
+)
+_PROJECTION_SPLIT_RE = re.compile(r",|\band\b")
+# conditions:
+_BETWEEN_AND_RE = re.compile(r"(between\s+\S+)\s+and\b", re.IGNORECASE)
+_CONJUNCT_RE = re.compile(r"\band\b(?! also)", re.IGNORECASE)
+_ARE_RE = re.compile(r"\bare\b", re.IGNORECASE)
+_LIKE_RE = re.compile(
+    r"^(.*?)\s*(?:contains the substring|includes|has)\s+'(.+?)'",
+    re.IGNORECASE,
+)
+_BETWEEN_RE = re.compile(
+    r"^(.*?)\s*(?:is between|falls between)\s+(\S+)\s+and\s+(\S+)",
+    re.IGNORECASE,
+)
+_RANGE_RE = re.compile(
+    r"^(.*?)\s*is in the range\s+(\S+)\s+to\s+(\S+)", re.IGNORECASE
+)
+_VERSUS_AVG_RE = re.compile(
+    r"^(.*?)\s*is\s+(above|below)\s+the average", re.IGNORECASE
+)
+# follow-ups and knowledge:
+_FOLLOWUP_LEAD_RE = re.compile(
+    r"^(now|next,?|and|also|then)\s+", re.IGNORECASE
+)
+_COUNT_THEM_RE = re.compile(
+    r"(how many (are there|is that)|count them)", re.IGNORECASE
+)
+_KEEP_ONLY_RE = re.compile(r"keep only those whose\s+(.+)$", re.IGNORECASE)
+_SHOW_ONLY_RE = re.compile(
+    r"show only the (\d+) with the (highest|lowest)\s+(.+)$", re.IGNORECASE
+)
+_SHOW_THEIR_RE = re.compile(r"show their\s+(.+?)\s+instead$", re.IGNORECASE)
+_KNOWLEDGE_RE = re.compile(
+    r"^(?P<alias>.+?)\s+are\s+(?P<table>.+?)\s+whose\s+(?P<cond>.+?)\.?$"
 )
 
 
@@ -231,22 +286,18 @@ class GrammarSemanticParser(Parser):
                 clauses.order_desc = limit_desc
 
         # nested: "that have <child> whose <cond>"
-        nested = re.search(
-            r"\bthat have\s+(.+?)\s+whose\s+(.+)$", text, flags=re.IGNORECASE
-        )
+        nested = _NESTED_RE.search(text)
         if nested:
             clauses.nested_table = nested.group(1).strip()
             clauses.nested_conditions = nested.group(2).strip()
             text = text[: nested.start()].strip()
         else:
-            parts = re.split(r"\bwhose\b", text, maxsplit=1, flags=re.IGNORECASE)
+            parts = _WHOSE_RE.split(text, maxsplit=1)
             if len(parts) == 2:
                 text = parts[0].strip()
                 conditions = parts[1].strip()
                 for connective, op in _SET_CONNECTIVES:
-                    match = re.search(
-                        connective, conditions, flags=re.IGNORECASE
-                    )
+                    match = connective.search(conditions)
                     if match:
                         clauses.set_op = op
                         clauses.set_second = conditions[match.end():].strip()
@@ -254,7 +305,7 @@ class GrammarSemanticParser(Parser):
                         break
                 clauses.conditions = conditions
 
-        if re.search(r"\bdistinct\b", text, flags=re.IGNORECASE):
+        if _DISTINCT_RE.search(text):
             clauses.distinct = True
 
         clauses.head = _strip_opener(text)
@@ -534,16 +585,10 @@ class GrammarSemanticParser(Parser):
         table: TableSchema,
         request: ParseRequest,
     ) -> list[ColumnRef]:
-        match = re.search(
-            r"^(?:the\s+)?(.+?)\s+(?:values\s+)?of\s+(.+)$",
-            head,
-            flags=re.IGNORECASE,
-        )
+        match = _PROJECTION_RE.search(head)
         col_region = match.group(1) if match else head
-        col_region = re.sub(
-            r"\bdistinct\b", " ", col_region, flags=re.IGNORECASE
-        )
-        pieces = re.split(r",|\band\b", col_region)
+        col_region = _DISTINCT_RE.sub(" ", col_region)
+        pieces = _PROJECTION_SPLIT_RE.split(col_region)
         refs: list[ColumnRef] = []
         for piece in pieces:
             piece = piece.strip()
@@ -586,13 +631,8 @@ class GrammarSemanticParser(Parser):
     ) -> tuple:
         joins: list[str] = []
         # protect the AND inside "between X and Y" from the conjunct split
-        masked = re.sub(
-            r"(between\s+\S+)\s+and\b",
-            r"\1 __between_and__",
-            text,
-            flags=re.IGNORECASE,
-        )
-        conjuncts = re.split(r"\band\b(?! also)", masked, flags=re.IGNORECASE)
+        masked = _BETWEEN_AND_RE.sub(r"\1 __between_and__", text)
+        conjuncts = _CONJUNCT_RE.split(masked)
         exprs = []
         for conjunct in conjuncts:
             conjunct = conjunct.replace("__between_and__", "and")
@@ -621,13 +661,9 @@ class GrammarSemanticParser(Parser):
     ) -> tuple:
         # "are" is a reverse-translation artifact of "is" in several
         # languages; normalize before matching op phrases
-        text = re.sub(r"\bare\b", "is", text, flags=re.IGNORECASE)
+        text = _ARE_RE.sub("is", text)
         # LIKE
-        match = re.search(
-            r"^(.*?)\s*(?:contains the substring|includes|has)\s+'(.+?)'",
-            text,
-            flags=re.IGNORECASE,
-        )
+        match = _LIKE_RE.search(text)
         if match:
             ref, join_table = self._condition_column(
                 match.group(1), linker, table, request,
@@ -639,15 +675,7 @@ class GrammarSemanticParser(Parser):
             )
 
         # BETWEEN
-        match = re.search(
-            r"^(.*?)\s*(?:is between|falls between)\s+(\S+)\s+and\s+(\S+)",
-            text,
-            flags=re.IGNORECASE,
-        ) or re.search(
-            r"^(.*?)\s*is in the range\s+(\S+)\s+to\s+(\S+)",
-            text,
-            flags=re.IGNORECASE,
-        )
+        match = _BETWEEN_RE.search(text) or _RANGE_RE.search(text)
         if match:
             ref, join_table = self._condition_column(
                 match.group(1), linker, table, request,
@@ -663,11 +691,7 @@ class GrammarSemanticParser(Parser):
             )
 
         # compare against the table average
-        match = re.search(
-            r"^(.*?)\s*is\s+(above|below)\s+the average",
-            text,
-            flags=re.IGNORECASE,
-        )
+        match = _VERSUS_AVG_RE.search(text)
         if match:
             ref, join_table = self._condition_column(
                 match.group(1), linker, table, request,
@@ -693,10 +717,11 @@ class GrammarSemanticParser(Parser):
 
         # plain comparison: find the longest matching op phrase
         lowered = text.lower()
-        for phrase in sorted(_OP_PHRASES, key=len, reverse=True):
-            index = _find_word_phrase(lowered, phrase)
-            if index < 0:
+        for phrase, pattern in _OP_PATTERNS:
+            found = pattern.search(lowered)
+            if found is None:
                 continue
+            index = found.start()
             col_part = text[:index].strip()
             val_part = text[index + len(phrase):].strip().rstrip("?,. ")
             if not val_part:
@@ -778,14 +803,9 @@ class GrammarSemanticParser(Parser):
         if not isinstance(previous, Select):
             return None
         text = question.strip().rstrip("?").strip()
-        text = re.sub(
-            r"^(now|next,?|and|also|then)\s+", "", text, flags=re.IGNORECASE
-        )
+        text = _FOLLOWUP_LEAD_RE.sub("", text)
 
-        if re.fullmatch(
-            r"(how many (are there|is that)|count them)", text,
-            flags=re.IGNORECASE,
-        ):
+        if _COUNT_THEM_RE.fullmatch(text):
             return dc_replace(
                 previous,
                 items=(
@@ -795,9 +815,7 @@ class GrammarSemanticParser(Parser):
                 limit=None,
             )
 
-        match = re.match(
-            r"keep only those whose\s+(.+)$", text, flags=re.IGNORECASE
-        )
+        match = _KEEP_ONLY_RE.match(text)
         if match:
             table = self._main_table_of(previous, request.schema)
             condition, _ = self._parse_conditions(
@@ -810,11 +828,7 @@ class GrammarSemanticParser(Parser):
             )
             return dc_replace(previous, where=where)
 
-        match = re.match(
-            r"show only the (\d+) with the (highest|lowest)\s+(.+)$",
-            text,
-            flags=re.IGNORECASE,
-        )
+        match = _SHOW_ONLY_RE.match(text)
         if match:
             table = self._main_table_of(previous, request.schema)
             col_table, col = self._resolve_column_phrase(
@@ -840,9 +854,7 @@ class GrammarSemanticParser(Parser):
                 limit=int(match.group(1)),
             )
 
-        match = re.match(
-            r"show their\s+(.+?)\s+instead$", text, flags=re.IGNORECASE
-        )
+        match = _SHOW_THEIR_RE.match(text)
         if match:
             table = self._main_table_of(previous, request.schema)
             col_table, col = self._resolve_column_phrase(
@@ -868,10 +880,7 @@ class GrammarSemanticParser(Parser):
     def _apply_knowledge(
         self, question: str, knowledge: str, linker: SchemaLinker
     ) -> tuple[str, BinaryOp | None]:
-        match = re.match(
-            r"^(?P<alias>.+?)\s+are\s+(?P<table>.+?)\s+whose\s+(?P<cond>.+?)\.?$",
-            knowledge.strip(),
-        )
+        match = _KNOWLEDGE_RE.match(knowledge.strip())
         if not match:
             return question, None
         alias = match.group("alias").strip()
@@ -940,18 +949,20 @@ class _Qualifier:
 # ----------------------------------------------------------------------
 def _strip_opener(text: str) -> str:
     lowered = text.lower()
-    for opener in sorted(_OPENERS, key=len, reverse=True):
+    for opener in _OPENERS:
         if lowered.startswith(opener + " "):
             return text[len(opener):].strip()
     return text
 
 
+_HAVING_RE = re.compile(
+    r",?\s*considering only groups with at least (\d+) entries",
+    re.IGNORECASE,
+)
+
+
 def _extract_having(text: str) -> tuple[str, int | None]:
-    match = re.search(
-        r",?\s*considering only groups with at least (\d+) entries",
-        text,
-        flags=re.IGNORECASE,
-    )
+    match = _HAVING_RE.search(text)
     if not match:
         return text, None
     return _cut(text, match), int(match.group(1))
@@ -971,20 +982,23 @@ def _extract_group(text: str) -> tuple[str, str | None]:
     return _cut(text, match), match.group(1).strip()
 
 
-_ORDER_PATTERNS: tuple[tuple[str, bool | None], ...] = (
-    (r"in (ascending) order of\s+(.+?)(?=,|\?|$)", False),
-    (r"in (descending) order of\s+(.+?)(?=,|\?|$)", True),
-    (r"sorted by\s+(.+?) from (high to low)", True),
-    (r"sorted by\s+(.+?) from (low to high)", False),
-    (r"ordered by decreasing\s+(.+?)(?=,|\?|$)", True),
-    (r"ordered by\s+(.+?) from (low to high)", False),
-    (r"sorted by\s+(.+?)(?=,|\?|$)", False),
+_ORDER_PATTERNS: tuple[tuple[re.Pattern, bool], ...] = tuple(
+    (re.compile(pattern, re.IGNORECASE), descending)
+    for pattern, descending in (
+        (r"in (ascending) order of\s+(.+?)(?=,|\?|$)", False),
+        (r"in (descending) order of\s+(.+?)(?=,|\?|$)", True),
+        (r"sorted by\s+(.+?) from (high to low)", True),
+        (r"sorted by\s+(.+?) from (low to high)", False),
+        (r"ordered by decreasing\s+(.+?)(?=,|\?|$)", True),
+        (r"ordered by\s+(.+?) from (low to high)", False),
+        (r"sorted by\s+(.+?)(?=,|\?|$)", False),
+    )
 )
 
 
 def _extract_order(text: str) -> tuple[str, str | None, bool]:
     for pattern, descending in _ORDER_PATTERNS:
-        match = re.search(pattern, text, flags=re.IGNORECASE)
+        match = pattern.search(text)
         if match:
             groups = match.groups()
             column_phrase = groups[1] if len(groups) > 1 and groups[0] in (
@@ -1023,26 +1037,30 @@ def _extract_topn(text: str) -> tuple[str, int | None, bool]:
     return " ".join(out.split()), int(match.group(2)), descending
 
 
+_COUNT_HEAD_RE = re.compile(
+    r"\b(?:(?:the\s+)?number of|how many|(?:the\s+)?count of)\s+(.+)$"
+)
+_AGG_HEAD_RE = re.compile(
+    r"\b(?:the\s+)?(average|mean|typical|total|combined|minimum|lowest"
+    r"|smallest|maximum|highest|largest)\s+(.+?)\s+(?:of|for)\s+(.+)$",
+    re.IGNORECASE,
+)
+_SUM_HEAD_RE = re.compile(
+    r"\b(?:the\s+)?sum of\s+(.+?)\s+for\s+(.+)$", re.IGNORECASE
+)
+
+
 def _extract_head_agg(head: str) -> tuple[str | None, str | None, str | None]:
     """Detect an aggregate cue in the head.
 
     Returns (agg, column_phrase, table_phrase); all None when the head is a
     plain projection.
     """
-    lowered = head.lower()
-    count_match = re.search(
-        r"\b(?:(?:the\s+)?number of|how many|(?:the\s+)?count of)\s+(.+)$",
-        lowered,
-    )
+    count_match = _COUNT_HEAD_RE.search(head.lower())
     if count_match:
         return "count", None, head[count_match.start(1):].strip()
 
-    match = re.search(
-        r"\b(?:the\s+)?(average|mean|typical|total|combined|minimum|lowest"
-        r"|smallest|maximum|highest|largest)\s+(.+?)\s+(?:of|for)\s+(.+)$",
-        head,
-        flags=re.IGNORECASE,
-    )
+    match = _AGG_HEAD_RE.search(head)
     if match:
         cue = match.group(1).lower()
         agg = dict(_AGG_CUES).get(cue)
@@ -1050,11 +1068,7 @@ def _extract_head_agg(head: str) -> tuple[str | None, str | None, str | None]:
             agg = {"total": "sum", "combined": "sum"}.get(cue)
         return agg, match.group(2).strip(), match.group(3).strip()
 
-    match = re.search(
-        r"\b(?:the\s+)?sum of\s+(.+?)\s+for\s+(.+)$",
-        head,
-        flags=re.IGNORECASE,
-    )
+    match = _SUM_HEAD_RE.search(head)
     if match:
         return "sum", match.group(1).strip(), match.group(2).strip()
     return None, None, None
@@ -1063,13 +1077,6 @@ def _extract_head_agg(head: str) -> tuple[str | None, str | None, str | None]:
 def _cut(text: str, match: re.Match) -> str:
     out = text[: match.start()] + " " + text[match.end():]
     return " ".join(out.split())
-
-
-def _find_word_phrase(text: str, phrase: str) -> int:
-    """Find *phrase* at word boundaries; -1 when absent."""
-    pattern = r"\b" + re.escape(phrase) + r"\b"
-    match = re.search(pattern, text)
-    return match.start() if match else -1
 
 
 def _parse_value(text: str) -> Value:

@@ -85,6 +85,7 @@ from repro.sql.plan import (
     explain,
     optimizer_enabled,
     parse_cache_stats,
+    parse_sql_cached,
     plan_cache_stats,
     plan_for,
     set_optimizer_enabled,
@@ -150,6 +151,7 @@ __all__ = [
     "optimizer_enabled",
     "parse_cache_stats",
     "parse_sql",
+    "parse_sql_cached",
     "plan_cache_stats",
     "plan_for",
     "rescache_enabled",

@@ -24,7 +24,7 @@ import sys
 from repro.errors import SQLError
 from repro.sql import rescache as _rescache
 from repro.sql.normalize import canonical_cache_key
-from repro.sql.plan import _parse_cached
+from repro.sql.plan import parse_sql_cached
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -93,7 +93,7 @@ def _cmd_budget(max_bytes: int) -> int:
 
 def _cmd_key(sql: str) -> int:
     try:
-        text, signature = canonical_cache_key(_parse_cached(sql))
+        text, signature = canonical_cache_key(parse_sql_cached(sql))
     except SQLError as exc:
         print(f"cache key: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -24,8 +24,8 @@ from repro.sql import index as _index
 from repro.sql import stats as _stats
 from repro.sql.plan import (
     compile_query,
-    _parse_cached,
     parse_cache_stats,
+    parse_sql_cached,
     plan_cache_stats,
     set_optimizer_enabled,
 )
@@ -66,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
     previous = set_optimizer_enabled(not args.no_optimizer)
     try:
         try:
-            plan = compile_query(_parse_cached(args.sql), db.schema, db)
+            plan = compile_query(parse_sql_cached(args.sql), db.schema, db)
         except SQLError as exc:
             print(f"explain: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1

@@ -2925,7 +2925,7 @@ def explain(sql: str, db: Database) -> str:
     """
     from repro.sql.normalize import canonical_cache_key
 
-    query = _parse_cached(sql)
+    query = parse_sql_cached(sql)
     plan = compile_query(query, db.schema, db)
     text, signature = canonical_cache_key(query)
     return (
@@ -2970,10 +2970,12 @@ _schema_tokens: dict[int, int] = {}
 _token_counter = count(1)
 
 #: Guards the plan/parse LRUs (and their counters): the parallel
-#: evaluation driver's thread-pool fallback shares this module across
-#: workers, and an unguarded ``move_to_end``/``popitem`` pair racing a
-#: concurrent eviction corrupts the OrderedDict.  Uncontended acquisition
-#: is tens of nanoseconds — noise next to even a cached-plan execution.
+#: evaluation driver's thread-pool fallback and the serving workers share
+#: this module, and an unguarded ``move_to_end``/``popitem`` pair racing a
+#: concurrent eviction corrupts the OrderedDict.  It is held only to look
+#: up and to insert, never across a parse or a compile, so a hit never
+#: waits behind another thread's miss.  Uncontended acquisition is tens of
+#: nanoseconds — noise next to even a cached-plan execution.
 _CACHE_LOCK = threading.RLock()
 
 
@@ -3005,32 +3007,39 @@ def plan_for(
     toggling either never resurrects plans built under the other
     setting).  *db*
     only feeds statistics into the first compile — the cached plan runs
-    against any schema-compatible database.
+    against any schema-compatible database.  The compile runs outside
+    the cache lock; when two threads miss on one key at once, both
+    compile and the first insert wins (plans are immutable, so the
+    loser's copy is simply dropped).
     """
     global _plan_hits, _plan_misses
+    optimize, vectorize = _OPTIMIZER_ENABLED, _vector.vector_enabled()
     with _CACHE_LOCK:
-        key = (query, _schema_token(schema), _OPTIMIZER_ENABLED,
-               _vector.vector_enabled())
+        key = (query, _schema_token(schema), optimize, vectorize)
         plan = _PLAN_CACHE.get(key)
         if plan is not None:
             _PLAN_CACHE.move_to_end(key)
             _plan_hits += 1
             return plan
         _plan_misses += 1
-        if _obs_trace._ENABLED:  # compile misses only; hits stay span-free
-            with _obs_trace.span("repro.sql.plan.compile",
-                                 optimized=_OPTIMIZER_ENABLED):
-                plan = compile_query(query, schema, db)
-        else:
-            plan = compile_query(query, schema, db)
-        _PLAN_CACHE[key] = plan
-        while len(_PLAN_CACHE) > _PLAN_CACHE_MAX:
-            _PLAN_CACHE.popitem(last=False)
-        return plan
+    # the flags are passed, not re-read: a toggle flipped by another
+    # thread during the compile must not file a plan under the wrong key
+    if _obs_trace._ENABLED:  # compile misses only; hits stay span-free
+        with _obs_trace.span("repro.sql.plan.compile", optimized=optimize):
+            plan = compile_query(query, schema, db, optimize, vectorize)
+    else:
+        plan = compile_query(query, schema, db, optimize, vectorize)
+    return _insert(_PLAN_CACHE, key, plan, _PLAN_CACHE_MAX)
 
 
-def _parse_cached(sql: str) -> Query:
-    """Parse *sql* through a bounded LRU (parse errors are not cached)."""
+def parse_sql_cached(sql: str) -> Query:
+    """Parse *sql* through the bounded parse LRU.
+
+    The one parse cache of the engine: SQL text and the SQL part of
+    every VQL program go through it.  Parse errors are not cached — bad
+    text raises on every call.  The parse runs outside the cache lock;
+    racing misses on one text both parse and share the first insert.
+    """
     global _parse_hits, _parse_misses
     with _CACHE_LOCK:
         query = _PARSE_CACHE.get(sql)
@@ -3039,22 +3048,29 @@ def _parse_cached(sql: str) -> Query:
             _parse_hits += 1
             return query
         _parse_misses += 1
-        if _obs_trace._ENABLED:
-            with _obs_trace.span("repro.sql.parse"):
-                query = parse_sql(sql)
-        else:
+    if _obs_trace._ENABLED:
+        with _obs_trace.span("repro.sql.parse"):
             query = parse_sql(sql)
-        _PARSE_CACHE[sql] = query
-        while len(_PARSE_CACHE) > _PARSE_CACHE_MAX:
-            _PARSE_CACHE.popitem(last=False)
-        return query
+    else:
+        query = parse_sql(sql)
+    return _insert(_PARSE_CACHE, sql, query, _PARSE_CACHE_MAX)
+
+
+def _insert(cache: OrderedDict, key, value, max_size: int):
+    """Store *value* unless a racing miss stored one first; return the
+    stored one, evicting the oldest entries past *max_size*."""
+    with _CACHE_LOCK:
+        value = cache.setdefault(key, value)
+        while len(cache) > max_size:
+            cache.popitem(last=False)
+        return value
 
 
 def compile_sql(
     sql: str, schema: Schema, db: Database | None = None
 ) -> CompiledPlan:
     """Parse (cached) and plan (cached) *sql* for *schema*."""
-    return plan_for(_parse_cached(sql), schema, db)
+    return plan_for(parse_sql_cached(sql), schema, db)
 
 
 def plan_cache_stats() -> dict[str, int]:

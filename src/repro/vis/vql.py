@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from repro.errors import LexError, ParseError, VQLParseError
 from repro.sql.ast import Query
 from repro.sql.normalize import normalize_query
-from repro.sql.parser import parse_sql
+from repro.sql.plan import parse_sql_cached
 from repro.sql.unparser import to_sql
 
 CHART_TYPES: tuple[str, ...] = ("bar", "pie", "line", "scatter")
@@ -58,7 +58,13 @@ class VQLQuery:
 
 
 def parse_vql(text: str) -> VQLQuery:
-    """Parse a VQL program; raise :class:`VQLParseError` on bad input."""
+    """Parse a VQL program; raise :class:`VQLParseError` on bad input.
+
+    The SQL part goes through the engine's bounded parse cache
+    (:func:`repro.sql.plan.parse_sql_cached`), so a repeated program
+    shares one frozen ``query`` AST and costs no lexing; bad SQL is
+    never cached and raises on every call.
+    """
     stripped = text.strip().rstrip(";")
     tokens = stripped.split(None, 2)
     if len(tokens) < 3 or tokens[0].lower() != "visualize":
@@ -80,7 +86,7 @@ def parse_vql(text: str) -> VQLQuery:
             raise VQLParseError(f"unknown BIN unit {match.group(2)!r}")
 
     try:
-        query = parse_sql(remainder)
+        query = parse_sql_cached(remainder)
     except (ParseError, LexError) as exc:
         raise VQLParseError(f"invalid SQL inside VQL: {exc}") from exc
     return VQLQuery(

@@ -9,7 +9,8 @@ checks, for every answered turn, that the carried AST equals what parsing
 the turn's SQL text would have produced — so history, turn keys and every
 follow-up translation are exactly what the text round-trip gave.  The
 parse-count tests pin the saving itself: no ``parse_sql`` on a SQL turn,
-one on a chart turn (the vis lint gate's, reused by the renderer).
+one on a cold chart turn (the vis lint gate's, reused by the renderer),
+and none on a chart turn whose VQL text the parse cache already holds.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import repro.sql.parser as parser_module
 from repro.datasets import build_dataset
 from repro.serve import Server
 from repro.sql.parser import parse_sql
+from repro.sql.plan import clear_plan_caches
 from repro.sql.unparser import to_sql
 from repro.systems import PipelineSystem
 from repro.systems.architectures import ParsingBasedSystem, RuleBasedSystem
@@ -168,10 +170,24 @@ def test_chart_turn_parses_once(dialogue_corpora, parse_counter):
     turns = _first_turns(dialogue_corpora, "chartdialogs_like", "chart")
     for db, question in turns:
         session = InteractiveSession(PipelineSystem(), db)
+        clear_plan_caches()  # cold: the VQL text is not in the parse cache
         del parse_counter[:]
         response = session.ask(question)
         assert response.kind == "chart"
         assert len(parse_counter) == 1, (question, parse_counter)
+
+
+def test_repeated_chart_turn_lexes_nothing(dialogue_corpora, parse_counter):
+    """A fresh system (empty turn cache) asking a chart question whose VQL
+    was parsed before shares the cached AST instead of lexing again."""
+    turns = _first_turns(dialogue_corpora, "chartdialogs_like", "chart")
+    for db, question in turns:
+        assert PipelineSystem().answer(question, db).kind == "chart"
+        session = InteractiveSession(PipelineSystem(), db)
+        del parse_counter[:]
+        response = session.ask(question)
+        assert response.kind == "chart"
+        assert parse_counter == [], question
 
 
 def test_sql_turn_unparses_once(dialogue_corpora, monkeypatch):
