@@ -7,15 +7,11 @@ the interactive-NLI traffic shape exercises it:
    corpora executed repeatedly: disabled-cache QPS (plans warm, so the
    delta isolates *result* caching) vs warm-hit QPS, asserting the >= 5x
    acceptance floor per corpus;
-2. ``semantic_dedup`` — handwritten spelling variants (commuted
-   predicates, flipped comparisons, IN-list order, case/whitespace) of
-   the same queries: the canonicalizer must collapse every variant group
-   onto one cache entry (misses == distinct queries);
-3. ``mutation_storm`` — randomly interleaved ``append`` /
+2. ``mutation_storm`` — randomly interleaved ``append`` /
    ``replace_rows`` / ``invalidate_caches`` mutations with cached reads,
    every read compared byte-identical against a direct uncached plan run
    (the invalidation-correctness differential: zero stale serves);
-4. ``disabled_overhead`` — ``REPRO_SQL_RESCACHE=0`` must cost nothing:
+3. ``disabled_overhead`` — ``REPRO_SQL_RESCACHE=0`` must cost nothing:
    the disabled ``execute()`` path (one flag check) is timed against a
    raw ``plan_for().run()`` loop and asserted within the 5% budget.
 
@@ -173,8 +169,8 @@ def _corpus_warm_hits(limit: int, floor: float) -> dict:
         run_all()  # populate
         warm = _time(run_all, iters=1, repeat=3) * len(jobs)
         stats = rescache.rescache_stats()
-        # repeated/semantically-equal golds in a corpus share one entry,
-        # so misses can undershoot the job count but never exceed it
+        # repeated golds in a corpus share one entry, so misses can
+        # undershoot the job count but never exceed it
         assert 0 < stats["misses"] <= len(jobs), name
         assert stats["hits"] >= 3 * len(jobs), name
         speedup = warm / cold
@@ -193,75 +189,7 @@ def _corpus_warm_hits(limit: int, floor: float) -> dict:
 
 
 # ----------------------------------------------------------------------
-# 2. semantic dedup
-# ----------------------------------------------------------------------
-VARIANT_GROUPS = [
-    [
-        "SELECT name, price FROM products WHERE price > 100 "
-        "AND category = 'tools'",
-        "select name, price from products "
-        "where category = 'tools' and price > 100",
-        "SELECT name, price FROM products WHERE 100 < price "
-        "AND 'tools' = category",
-    ],
-    [
-        "SELECT name FROM products WHERE category IN ('tools', 'food', 'toys')",
-        "SELECT name FROM products WHERE category IN ('toys', 'food', 'tools')",
-        "select name from products "
-        "where category in ('food', 'toys', 'tools', 'food')",
-    ],
-    [
-        "SELECT p.name AS name, s.quantity AS quantity FROM products AS p "
-        "JOIN sales AS s ON p.id = s.product_id WHERE s.quantity >= 10",
-        "SELECT a.name AS name, b.quantity AS quantity FROM products AS a "
-        "JOIN sales AS b ON b.product_id = a.id WHERE 10 <= b.quantity",
-    ],
-    [
-        "SELECT region, COUNT(*) FROM sales GROUP BY region",
-        "select REGION, count(*) from SALES group by REGION",
-    ],
-]
-
-
-def _semantic_dedup(db: Database) -> dict:
-    rescache.clear_result_cache()
-    queries = [
-        parse_sql(sql) for group in VARIANT_GROUPS for sql in group
-    ]
-    baseline = None
-    for group in VARIANT_GROUPS:
-        group_results = [
-            execute(parse_sql(sql), db) for sql in group
-        ]
-        first = group_results[0]
-        for other in group_results[1:]:
-            assert other.columns == first.columns
-            assert other.rows == first.rows
-            assert other.ordered == first.ordered
-        baseline = first
-    assert baseline is not None
-    stats = rescache.rescache_stats()
-    assert stats["misses"] == len(VARIANT_GROUPS), (
-        "each variant group must collapse onto exactly one entry"
-    )
-    spellings = len(queries)
-    qps = _time(
-        lambda: [execute(q, db) for q in queries], iters=1, repeat=3
-    ) * spellings
-    out = {
-        "spellings": spellings,
-        "distinct_entries": stats["misses"],
-        "dedup_hit_rate": round(
-            1.0 - stats["misses"] / spellings, 3
-        ),
-        "warm_qps": round(qps, 1),
-    }
-    rescache.clear_result_cache()
-    return out
-
-
-# ----------------------------------------------------------------------
-# 3. mutation storm (invalidation-correctness differential)
+# 2. mutation storm (invalidation-correctness differential)
 # ----------------------------------------------------------------------
 STORM_SQL = [
     "SELECT name FROM products WHERE price > 100",
@@ -317,7 +245,7 @@ def _mutation_storm(db: Database, steps: int) -> dict:
 
 
 # ----------------------------------------------------------------------
-# 4. disabled-path overhead
+# 3. disabled-path overhead
 # ----------------------------------------------------------------------
 def _disabled_overhead(db: Database, iters: int) -> dict:
     """REPRO_SQL_RESCACHE=0 must cost nothing beyond one flag check."""
@@ -361,7 +289,6 @@ def main(argv=None):
 
     clear_plan_caches()
     corpus = _corpus_warm_hits(limit, floor=5.0)
-    dedup = _semantic_dedup(db)
     storm = _mutation_storm(db, steps)
     overhead = _disabled_overhead(db, iters)
 
@@ -379,16 +306,6 @@ def main(argv=None):
             )
             for name, stats in corpus.items()
         ],
-    )
-    print_table(
-        "Semantic canonicalization dedup",
-        ["spellings", "entries", "hit rate", "warm q/s"],
-        [(
-            dedup["spellings"],
-            dedup["distinct_entries"],
-            f"{100 * dedup['dedup_hit_rate']:.0f}%",
-            f"{dedup['warm_qps']:,.1f}",
-        )],
     )
     print_table(
         "Mutation storm (cached reads vs uncached oracle)",
@@ -410,7 +327,6 @@ def main(argv=None):
         "smoke": args.smoke,
         "cpus": os.cpu_count(),
         "corpus_warm_hits": corpus,
-        "semantic_dedup": dedup,
         "mutation_storm": storm,
         "disabled_overhead": overhead,
     }

@@ -1,17 +1,20 @@
 """Docs-consistency check: CLI subcommands vs what the docs claim.
 
-Two invariants, both cheap enough for CI:
+Three invariants, all cheap enough for CI:
 
 1. every ``python -m repro <subcommand>`` named anywhere in the user
    docs (README.md, DESIGN.md, EXPERIMENTS.md, docs/) resolves to a real
    subcommand dispatched by ``src/repro/__main__.py`` — no stale or
    aspirational CLI examples;
-2. every subcommand the CLI actually dispatches is documented in
+2. every ``python -m repro cache <verb>`` named there is a verb that
+   ``src/repro/sql/cache_cli.py`` registers;
+3. every subcommand the CLI actually dispatches is documented in
    README.md — no silent features.
 
-Subcommands are extracted from the dispatch source itself (the
-``argv[0] == "<name>"`` chain), so the check cannot drift from the code
-the way a hand-maintained list would.  Run directly (exit 1 on any
+Subcommands and verbs are extracted from the source itself (the
+``argv[0] == "<name>"`` chain and the ``add_parser("<verb>")`` calls),
+so the check cannot drift from the code the way a hand-maintained list
+would.  Run directly (exit 1 on any
 violation) or through ``tests/test_docs_consistency.py``.
 """
 
@@ -31,13 +34,23 @@ DOC_FILES = ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
 
 _DISPATCH_RE = re.compile(r'argv\[0\] == "([a-z][a-z0-9-]*)"')
 _MENTION_RE = re.compile(r"python -m repro\s+([a-z][a-z0-9-]*)")
+_VERB_RE = re.compile(r'add_parser\(\s*"([a-z][a-z0-9-]*)"')
+_CACHE_MENTION_RE = re.compile(r"python -m repro\s+cache\s+([a-z][a-z0-9-]*)")
+
+
+def _source_names(relpath: str, pattern: re.Pattern) -> set[str]:
+    with open(os.path.join(REPO_ROOT, relpath), encoding="utf-8") as handle:
+        return set(pattern.findall(handle.read()))
 
 
 def dispatched_subcommands() -> set[str]:
     """The subcommands ``python -m repro`` actually routes, from source."""
-    path = os.path.join(REPO_ROOT, "src", "repro", "__main__.py")
-    with open(path, encoding="utf-8") as handle:
-        return set(_DISPATCH_RE.findall(handle.read()))
+    return _source_names("src/repro/__main__.py", _DISPATCH_RE)
+
+
+def cache_verbs() -> set[str]:
+    """The verbs ``python -m repro cache`` registers, from source."""
+    return _source_names("src/repro/sql/cache_cli.py", _VERB_RE)
 
 
 def doc_paths() -> list[str]:
@@ -49,12 +62,15 @@ def doc_paths() -> list[str]:
     return [path for path in paths if os.path.exists(path)]
 
 
-def documented_subcommands() -> dict[str, set[str]]:
-    """Map doc path -> set of subcommand names it mentions."""
+def documented_subcommands(
+    pattern: re.Pattern = _MENTION_RE,
+) -> dict[str, set[str]]:
+    """Map doc path -> set of names *pattern* captures in it (by default
+    the ``python -m repro`` subcommands it mentions)."""
     mentions: dict[str, set[str]] = {}
     for path in doc_paths():
         with open(path, encoding="utf-8") as handle:
-            found = set(_MENTION_RE.findall(handle.read()))
+            found = set(pattern.findall(handle.read()))
         if found:
             mentions[os.path.relpath(path, REPO_ROOT)] = found
     return mentions
@@ -70,6 +86,14 @@ def check() -> list[str]:
             violations.append(
                 f"{path}: documents `python -m repro {name}` but the CLI "
                 f"has no such subcommand (has: {', '.join(sorted(real))})"
+            )
+
+    verbs = cache_verbs()
+    for path, names in sorted(documented_subcommands(_CACHE_MENTION_RE).items()):
+        for name in sorted(names - verbs):
+            violations.append(
+                f"{path}: documents `python -m repro cache {name}` but the "
+                f"cache CLI has no such verb (has: {', '.join(sorted(verbs))})"
             )
 
     readme = os.path.join(REPO_ROOT, "README.md")

@@ -12,9 +12,8 @@ when different queries coincidentally return equal results on one database
 
 Evaluating N candidates against one gold used to parse and execute the gold
 N times; gold and prediction results now both flow through the shared
-version-stamped result cache (:mod:`repro.sql.rescache`), whose canonical
-keys additionally collapse semantically identical spellings, on top of the
-parse/plan caches of :mod:`repro.sql.plan`.  With the result cache
+version-stamped result cache (:mod:`repro.sql.rescache`), keyed by the
+query AST, on top of the parse/plan caches of :mod:`repro.sql.plan`.  With the result cache
 disabled (``REPRO_SQL_RESCACHE=0``) or tracing on, the gold simply
 executes every time.
 """
@@ -44,7 +43,7 @@ def _gold_result_cached(
     """Execute-or-fetch the gold result on *db*; failures return the error.
 
     Delegates to the shared result cache (:mod:`repro.sql.rescache`):
-    keyed by canonical query + per-table version stamps, shared with
+    keyed by query AST + per-table version stamps, shared with
     every other ``execute()`` caller, and invalidated by *any* table
     mutation.  With the result cache disabled or tracing on, the gold
     executes every time (each call counts as a gold-cache miss).

@@ -50,13 +50,7 @@ from repro.sql.lint import (
     lint_query,
     lint_sql,
 )
-from repro.sql.normalize import (
-    canonical_cache_key,
-    canonical_query,
-    canonical_sql,
-    name_signature,
-    normalize_sql,
-)
+from repro.sql.normalize import normalize_sql
 from repro.sql.parser import parse_sql
 from repro.sql.rescache import (
     cached_execute,
@@ -126,9 +120,6 @@ __all__ = [
     "UnaryOp",
     "build_lineage",
     "cached_execute",
-    "canonical_cache_key",
-    "canonical_query",
-    "canonical_sql",
     "classify_hardness",
     "clear_plan_caches",
     "clear_result_cache",
@@ -146,7 +137,6 @@ __all__ = [
     "infer_output_schema",
     "lint_query",
     "lint_sql",
-    "name_signature",
     "normalize_sql",
     "optimizer_enabled",
     "parse_cache_stats",

@@ -235,7 +235,10 @@ def _cached_hash(cls):
     field_hash = cls.__hash__
 
     def __hash__(self) -> int:
-        value = getattr(self, "_hash", None)
+        try:  # a slot read: cheaper than getattr with a default
+            value = self._hash
+        except AttributeError:  # unpickled or copied: the slot is unset
+            value = None
         if value is None:
             value = field_hash(self)
             object.__setattr__(self, "_hash", value)

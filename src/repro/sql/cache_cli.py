@@ -6,13 +6,10 @@ Front-end for the versioned result cache of :mod:`repro.sql.rescache`::
     python -m repro cache stats --json     # machine-readable
     python -m repro cache clear            # drop entries, reset counters
     python -m repro cache budget 8388608   # set the byte budget
-    python -m repro cache key "SELECT ..." # canonical cache key for a query
 
 Caches are per-process, so ``stats`` in a fresh interpreter starts at
 zero; the subcommand exists for embedding (``--json``) and for REPL /
-benchmark processes that import this module's helpers directly.  ``key``
-prints the semantic canonicalization (canonical SQL text plus the output
-name signature) that decides which spellings share one cache entry.
+benchmark processes that import this module's helpers directly.
 """
 
 from __future__ import annotations
@@ -21,10 +18,7 @@ import argparse
 import json
 import sys
 
-from repro.errors import SQLError
 from repro.sql import rescache as _rescache
-from repro.sql.normalize import canonical_cache_key
-from repro.sql.plan import parse_sql_cached
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -46,19 +40,12 @@ def main(argv: list[str] | None = None) -> int:
         "bytes", type=int, help="maximum resident result bytes (>= 0)"
     )
 
-    key = sub.add_parser(
-        "key", help="print the canonical cache key for a SQL query"
-    )
-    key.add_argument("sql", help="the SQL query to canonicalize")
-
     args = parser.parse_args(argv)
     if args.command == "stats":
         return _cmd_stats(as_json=args.json)
     if args.command == "clear":
         return _cmd_clear()
-    if args.command == "budget":
-        return _cmd_budget(args.bytes)
-    return _cmd_key(args.sql)
+    return _cmd_budget(args.bytes)
 
 
 def _cmd_stats(as_json: bool) -> int:
@@ -88,17 +75,6 @@ def _cmd_budget(max_bytes: int) -> int:
         return 1
     _rescache.configure_result_cache(max_bytes)
     print(f"result cache budget set to {max_bytes} bytes")
-    return 0
-
-
-def _cmd_key(sql: str) -> int:
-    try:
-        text, signature = canonical_cache_key(parse_sql_cached(sql))
-    except SQLError as exc:
-        print(f"cache key: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    print(f"canonical: {text}")
-    print(f"signature: {signature!r}")
     return 0
 
 

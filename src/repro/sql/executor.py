@@ -162,8 +162,8 @@ def execute(query: Query, db: Database) -> Result:
     either way (``tests/test_obs.py`` runs that differential).
 
     Unless disabled (``REPRO_SQL_RESCACHE=0``), execution routes through
-    the versioned result cache (:mod:`repro.sql.rescache`): a repeat of a
-    semantically identical query against unchanged tables returns the
+    the versioned result cache (:mod:`repro.sql.rescache`): a repeat of an
+    equal query AST against unchanged tables returns the
     cached rows without running the plan at all.  Tracing bypasses the
     cache so span trees always reflect real operator work.
     """

@@ -2916,37 +2916,8 @@ def compile_query(
 
 
 def explain(sql: str, db: Database) -> str:
-    """EXPLAIN *sql* on *db*: the physical tree, estimates vs. actuals.
-
-    The footer additionally surfaces the result-cache canonical key
-    (:func:`repro.sql.normalize.canonical_cache_key`): every query whose
-    canonical form and name signature both match shares one result-cache
-    entry, so EXPLAIN is the way to check whether two spellings dedupe.
-    """
-    from repro.sql.normalize import canonical_cache_key
-
-    query = parse_sql_cached(sql)
-    plan = compile_query(query, db.schema, db)
-    text, signature = canonical_cache_key(query)
-    return (
-        plan.explain(db)
-        + f"\nresult cache canonical key: {text}"
-        + f"\nresult cache name signature: {_render_signature(signature)}"
-    )
-
-
-def _render_signature(signature: tuple) -> str:
-    """Compact one-line rendering of a canonical-key name signature."""
-    parts = []
-    for entry in signature:
-        kind, value = entry[0], entry[1]
-        if kind == "from":
-            parts.append("from=" + ",".join(value))
-        elif kind == "*":
-            parts.append(f"{value}.*" if value else "*")
-        else:
-            parts.append(value)
-    return "[" + "; ".join(parts) + "]"
+    """EXPLAIN *sql* on *db*: the physical tree, estimates vs. actuals."""
+    return compile_query(parse_sql_cached(sql), db.schema, db).explain(db)
 
 
 def _env_size(name: str, default: int) -> int:

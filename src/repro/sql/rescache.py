@@ -6,26 +6,29 @@ same questions recur over slowly-changing tables, which is exactly the
 interactive-NLI traffic shape the survey describes.  It sits between
 :func:`repro.sql.executor.execute` / ``CompiledPlan.run`` and callers:
 
-- **Keys** are ``(canonical query key, db identity token, per-table
-  cache tokens, engine toggles)``.  The canonical key comes from
-  :func:`repro.sql.normalize.canonical_cache_key`, so semantically
-  identical SQL — commuted predicates, renamed aliases, reordered
-  IN-lists, case/whitespace variation — shares one entry.  Per-table
-  tokens are :meth:`repro.data.database.Table.cache_token` stamps, so any
+- **Keys** are ``(query AST, db identity token, per-table cache tokens,
+  engine toggles)``.  AST equality is structural and type-exact and each
+  query node caches its hash, so the query itself is the key: a repeated
+  question, parsed afresh, hits; any other spelling (a commuted
+  predicate, a renamed alias) is its own entry.  Per-table tokens are
+  :meth:`repro.data.database.Table.cache_token` stamps, so any
   ``append`` / ``replace_rows`` / ``invalidate_caches`` / raw ``rows``
   swap naturally misses; stale rows are never served.  The optimizer and
   vectorizer flags key the entry too, keeping the differential toggles
   honest.
+- **Interned ASTs.** A memo maps each AST value to the first equal AST
+  seen and the table names it reads.  Keys hold that interned AST, so a
+  probe with a fresh, equal AST builds a key whose first field *is* the
+  stored key's, and the dict compare stops at the identity check instead
+  of walking two trees field by field.
 - **Eviction** is cost-aware LRU: each entry carries an estimated result
   byte size and the cache holds at most ``REPRO_SQL_RESCACHE_BYTES``
   (default 32 MiB, resizable via :func:`configure_result_cache` or
   ``repro.sql.plan.configure_caches(result_bytes=...)``).  A single
   result larger than the whole budget is returned but never stored.
 - **Errors** cache too (the metric paths evaluate many failing
-  candidates), but under the *exact* query AST rather than the canonical
-  key: two canonically-equal queries are guaranteed to agree on whether
-  they fail, not on the exact message text (e.g. swapped operand reprs in
-  an arithmetic error), so each AST keeps its own verbatim error object.
+  candidates), in the same entry a result would take: a hit re-raises a
+  traceback-free copy of the stored error.
 - **Hits share the stored result**: a ``Result`` is frozen, so hits,
   misses and :func:`peek` return the one stored object, uncopied.
 
@@ -53,9 +56,10 @@ from typing import Union
 from repro.data.database import Database
 from repro.errors import SQLError
 from repro.obs import metrics as _obs_metrics
+from repro.sql import plan as _plan
+from repro.sql import vector as _vector
 from repro.sql.ast import Query, TableRef, walk
 from repro.sql.executor import Result
-from repro.sql.normalize import canonical_cache_key
 
 __all__ = [
     "cached_execute",
@@ -98,20 +102,6 @@ _PEEK_MISSES = _registry.counter("repro.sql.rescache.peek.misses")
 _registry.gauge("repro.sql.rescache.bytes", fn=lambda: _BYTES)
 _registry.gauge("repro.sql.rescache.entries", fn=lambda: len(_CACHE))
 
-_plan_module = None  # lazy: plan imports executor which lazily imports us
-_vector_module = None
-
-
-def _plan():
-    global _plan_module, _vector_module
-    if _plan_module is None:
-        from repro.sql import plan as plan_module
-        from repro.sql import vector as vector_module
-
-        _plan_module = plan_module
-        _vector_module = vector_module
-    return _plan_module
-
 
 # ----------------------------------------------------------------------
 # identity tokens (same weakref.finalize pattern as plan._schema_token:
@@ -140,10 +130,9 @@ def _db_token(db: Database):
     return token
 
 
-#: query AST (by value) -> (canonical text, name signature, referenced
-#: table names).  AST equality is structural and type-exact, so equal
-#: ASTs always share one canonical key and the fresh AST a parser builds
-#: for a repeated question hits.  Bounded, oldest entry evicted first,
+#: query AST (by value) -> (interned AST, referenced table names).  The
+#: interned AST is the first equal AST seen; result keys and plan lookups
+#: use it (see module docstring).  Bounded, oldest entry evicted first,
 #: and emptied by :func:`clear_result_cache`.  Reads take no lock: a hit
 #: is one dict probe on the query's cached hash, while an LRU touch would
 #: need the lock on every hit.
@@ -155,15 +144,14 @@ def _query_key_info(query: Query) -> tuple:
     info = _KEY_MEMO.get(query)
     if info is not None:
         return info
-    text, signature = canonical_cache_key(query)
     names = tuple(
         sorted(
             {node.name.lower() for node in walk(query) if isinstance(node, TableRef)}
         )
     )
-    info = (text, signature, names)
     with _LOCK:
-        _KEY_MEMO[query] = info
+        # a racing insert of an equal AST wins: keep one interned object
+        info = _KEY_MEMO.setdefault(query, (query, names))
         if len(_KEY_MEMO) > _KEY_MEMO_MAX:
             del _KEY_MEMO[next(iter(_KEY_MEMO))]
     return info
@@ -245,66 +233,62 @@ def database_state_token(db: Database) -> tuple:
 # ----------------------------------------------------------------------
 # the cache proper
 # ----------------------------------------------------------------------
-def _table_tokens(names: tuple, db: Database) -> tuple | None:
-    """Per-table version stamps for *names* on *db*; None when a table is
-    missing (the query must then execute uncached — the analysis error
-    travels back as a value, like any other cached failure)."""
+def _result_key(query: Query, db: Database) -> tuple | None:
+    """The cache key of *query* on *db*, led by the interned AST; None
+    when a table is missing (the query must then execute uncached — the
+    analysis error travels back as a value, like any other failure)."""
+    interned, names = _query_key_info(query)
     tokens = []
     for name in names:
         table = db.tables.get(name)
         if table is None:
             return None
         tokens.append((name,) + table.cache_token())
-    return tuple(tokens)
+    # direct flag reads: this is the hot probe path and the accessor
+    # functions are pure attribute returns
+    return (
+        interned,
+        _db_token(db),
+        tuple(tokens),
+        _plan._OPTIMIZER_ENABLED,
+        _vector._VECTOR_ENABLED,
+    )
 
 
 def _lookup_or_run(query: Query, db: Database) -> tuple:
     """Core probe: returns ``(Result | SQLError, hit)``.
 
-    Results are cached under the canonical key, errors under the exact
-    AST (see module docstring).  Execution happens outside the lock; a
-    racing duplicate store is idempotent.
+    Execution happens outside the lock; a racing duplicate store is
+    idempotent.
     """
-    plan_module = _plan()
-    text, signature, names = _query_key_info(query)
-    tokens = _table_tokens(names, db)
-    if tokens is None:
+    key = _result_key(query, db)
+    if key is None:
         # missing table: execute uncached (no token to stamp an entry
         # with), but keep the execute_or_error contract — failures come
         # back as values here and only cached_execute re-raises them
         try:
-            return plan_module.plan_for(query, db.schema, db).run(db), False
+            return _plan.plan_for(query, db.schema, db).run(db), False
         except SQLError as exc:
             return exc, False
-    # direct flag reads: this is the hot probe path and the accessor
-    # functions are pure attribute returns
-    toggles = (
-        plan_module._OPTIMIZER_ENABLED,
-        _vector_module._VECTOR_ENABLED,
-    )
-    dbtok = _db_token(db)
-    result_key = ("r", text, signature, dbtok, tokens, toggles)
-    error_key = ("e", query, dbtok, tokens, toggles)
     with _LOCK:
-        entry = _CACHE.get(result_key)
+        entry = _CACHE.get(key)
         if entry is not None:
-            _CACHE.move_to_end(result_key)
+            _CACHE.move_to_end(key)
             _HITS.inc()
-            return entry[0], True
-        entry = _CACHE.get(error_key)
-        if entry is not None:
-            _CACHE.move_to_end(error_key)
-            _HITS.inc()
-            return _copy_error(entry[0]), True
+            value = entry[0]
+            if isinstance(value, SQLError):
+                return _copy_error(value), True
+            return value, True
         _MISSES.inc()
     try:
-        result = plan_module.plan_for(query, db.schema, db).run(db)
+        # the interned AST: the plan cache is keyed by AST value too
+        result = _plan.plan_for(key[0], db.schema, db).run(db)
     except SQLError as exc:
         # store a traceback-free clone; the shared entry must neither
         # pin this frame stack nor have hits mutate its __traceback__
-        _store(error_key, _copy_error(exc), _ERROR_BYTES)
+        _store(key, _copy_error(exc), _ERROR_BYTES)
         return exc, False
-    _store(result_key, result, _estimate_bytes(result))
+    _store(key, result, _estimate_bytes(result))
     return result, False
 
 
@@ -355,9 +339,9 @@ def peek(query: Query, db: Database):
 
     Returns the cached :class:`Result` itself on a hit, or
     ``None`` on a miss (including cached *errors* — a stored failure is
-    not a servable answer).  The probe uses the same canonical key and
-    *current* table/database version tokens as :func:`cached_execute`,
-    so a hit is exactly what executing now would return — never stale.
+    not a servable answer).  The probe uses the same key and *current*
+    table/database version tokens as :func:`cached_execute`, so a hit is
+    exactly what executing now would return — never stale.
     That soundness is what lets :mod:`repro.core.pipeline` use this as
     the last rung of its execute degradation ladder: when the executor
     times out or faults, a peeked result is a correct answer, and a miss
@@ -365,21 +349,13 @@ def peek(query: Query, db: Database):
     """
     if not _ENABLED:
         return None
-    plan_module = _plan()
-    text, signature, names = _query_key_info(query)
-    tokens = _table_tokens(names, db)
-    if tokens is None:
+    key = _result_key(query, db)
+    if key is None:
         return None
-    toggles = (
-        plan_module._OPTIMIZER_ENABLED,
-        _vector_module._VECTOR_ENABLED,
-    )
-    dbtok = _db_token(db)
-    result_key = ("r", text, signature, dbtok, tokens, toggles)
     with _LOCK:
-        entry = _CACHE.get(result_key)
-        if entry is not None:
-            _CACHE.move_to_end(result_key)
+        entry = _CACHE.get(key)
+        if entry is not None and not isinstance(entry[0], SQLError):
+            _CACHE.move_to_end(key)
             _PEEK_HITS.inc()
             return entry[0]
     _PEEK_MISSES.inc()

@@ -1,7 +1,8 @@
 """Docs/CLI consistency gate — see ``benchmarks/check_docs.py``.
 
-Every ``python -m repro <subcommand>`` the docs mention must exist, and
-every subcommand the CLI dispatches must appear in README.md.  Running
+Every ``python -m repro <subcommand>`` (and ``cache <verb>``) the docs
+mention must exist, and every subcommand the CLI dispatches must appear
+in README.md.  Running
 the checker as a test keeps stale CLI examples out of the docs without a
 separate CI wiring step.
 """
@@ -28,3 +29,20 @@ def test_subcommand_extraction_is_nonempty():
 def test_docs_name_only_real_subcommands_and_readme_names_all():
     violations = check_docs.check()
     assert not violations, "\n".join(violations)
+
+
+def test_cache_verb_extraction_is_nonempty():
+    assert {"stats", "clear", "budget"} <= check_docs.cache_verbs()
+
+
+def test_unknown_cache_verb_is_drift(tmp_path, monkeypatch):
+    doc = tmp_path / "stale.md"
+    doc.write_text(
+        "python -m repro cache stats\n"
+        "python -m repro cache flush\n",
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(check_docs, "doc_paths", lambda: [str(doc)])
+    violations = check_docs.check()
+    assert [v for v in violations if "`python -m repro cache flush`" in v]
+    assert not [v for v in violations if "cache stats`" in v]

@@ -1,9 +1,9 @@
-"""Versioned result cache + semantic canonicalizer tests.
+"""Versioned result cache tests.
 
-Three layers: the canonicalizer contract (idempotent; canonical-equal
-queries are result-identical), the cache proper (hits, version-stamped
-invalidation, cost-aware eviction, error caching, shared immutable
-results), and
+Three layers: equivalent spellings as a metamorphic oracle (each pair
+agrees on every engine, cold and warm, with one entry per distinct AST),
+the cache proper (exact AST keys, hits, version-stamped invalidation,
+cost-aware eviction, error caching, shared immutable results), and
 the consumers that ride it (metric gold caches, pipeline turn memo,
 interactive sessions).  The staleness property test interleaves mutations
 with cached reads across all three engines against the uncached reference
@@ -13,6 +13,7 @@ oracle.
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -20,20 +21,15 @@ from repro.data.database import Database
 from repro.errors import SQLError
 from repro.sql import rescache
 from repro.sql.executor import execute, execute_reference
-from repro.sql.normalize import canonical_cache_key, canonical_sql
 from repro.sql.parser import parse_sql
 from repro.sql.plan import (
     clear_plan_caches,
+    compile_query,
     configure_caches,
     explain,
-    plan_for,
 )
 from repro.sql.unparser import to_sql
 from repro.sql.vector import set_vector_enabled
-
-
-def _key(sql: str) -> tuple:
-    return canonical_cache_key(parse_sql(sql))
 
 
 def _snap(result):
@@ -54,7 +50,7 @@ def small_budget():
 
 
 # ----------------------------------------------------------------------
-# canonicalizer
+# equivalent spellings (metamorphic oracle)
 # ----------------------------------------------------------------------
 EQUIVALENT_PAIRS = [
     # whitespace / keyword case
@@ -64,19 +60,18 @@ EQUIVALENT_PAIRS = [
         "SELECT name FROM products WHERE price > 5",
         "SELECT name FROM products WHERE 5 < price",
     ),
-    # commutative AND reordering (safe operands only)
+    # reordered AND operands
     (
         "SELECT name FROM products WHERE price > 5 AND category = 'tools'",
         "SELECT name FROM products WHERE category = 'tools' AND price > 5",
     ),
-    # IN-list sorting + dedupe
+    # reordered IN-list with a duplicate item
     (
         "SELECT name FROM products WHERE category IN ('tools', 'food')",
         "SELECT name FROM products WHERE category IN ('food', 'tools', 'food')",
     ),
-    # alias renaming (output name pinned: unaliased qualified refs keep
-    # the qualifier in the result's column name, so renaming those is
-    # correctly NOT key-equal — see DISTINCT_PAIRS)
+    # alias renaming (output name pinned: an unaliased qualified ref
+    # keeps the qualifier in the result's column name)
     (
         "SELECT p.name AS name FROM products AS p WHERE p.price > 5",
         "SELECT q.name AS name FROM products AS q WHERE q.price > 5",
@@ -90,113 +85,47 @@ EQUIVALENT_PAIRS = [
     ),
 ]
 
-DISTINCT_PAIRS = [
-    # output column names differ (alias vs none)
-    ("SELECT name AS n FROM products", "SELECT name FROM products"),
-    # ASC vs DESC
-    (
-        "SELECT name FROM products ORDER BY price",
-        "SELECT name FROM products ORDER BY price DESC",
-    ),
-    # different literals
-    (
-        "SELECT name FROM products WHERE price > 5",
-        "SELECT name FROM products WHERE price > 6",
-    ),
-    # OR is not AND
-    (
-        "SELECT name FROM products WHERE price > 5 AND category = 'tools'",
-        "SELECT name FROM products WHERE price > 5 OR category = 'tools'",
-    ),
-    # unaliased qualified refs name the output column "p.name"/"q.name";
-    # renaming the binding changes the result's column names
-    (
-        "SELECT p.name FROM products AS p",
-        "SELECT q.name FROM products AS q",
-    ),
-]
 
-# alias "y" above resolves the bare table name; join test uses sales
-
-IDEMPOTENCE_QUERIES = [pair[0] for pair in EQUIVALENT_PAIRS] + [
-    "SELECT category, COUNT(*) AS c FROM products GROUP BY category "
-    "HAVING COUNT(*) > 1 ORDER BY c DESC LIMIT 2",
-    "SELECT DISTINCT quarter FROM sales WHERE quantity BETWEEN 1 AND 5",
-    "SELECT name FROM products WHERE id IN "
-    "(SELECT product_id FROM sales WHERE quantity > 2)",
-    "SELECT name FROM products UNION SELECT quarter FROM sales",
-    "SELECT p.name, s.quantity FROM products AS p "
-    "LEFT JOIN sales AS s ON p.id = s.product_id WHERE s.quantity IS NULL",
-]
+def _mask_timings(text: str) -> str:
+    return re.sub(r"time_ms=[0-9.]+", "time_ms=*", text)
 
 
-class TestCanonicalizer:
-    @pytest.mark.parametrize("sql", IDEMPOTENCE_QUERIES)
-    def test_idempotent(self, sql):
-        once = canonical_sql(sql)
-        assert canonical_sql(once) == once
+class TestEquivalentSpellings:
+    """Each pair spells one query two ways.  The cache key is the exact
+    AST, so the spellings share an entry only when they parse to one
+    AST, yet they must agree on every engine, cold and warm."""
 
     @pytest.mark.parametrize("a,b", EQUIVALENT_PAIRS)
-    def test_equivalent_spellings_share_key(self, a, b, shop_db):
-        assert _key(a) == _key(b)
-        ra = execute_reference(parse_sql(a), shop_db)
-        rb = execute_reference(parse_sql(b), shop_db)
-        assert _snap(ra) == _snap(rb)
-
-    @pytest.mark.parametrize("a,b", DISTINCT_PAIRS)
-    def test_distinct_queries_do_not_collide(self, a, b):
-        assert _key(a) != _key(b)
-
-    def test_unsafe_operands_keep_source_order(self):
-        # division can raise data-dependently; AND must not commute it
-        # past the guard that makes it safe
-        sql = (
-            "SELECT name FROM products "
-            "WHERE price > 0 AND 10 / price > 1"
-        )
-        text, _ = _key(sql)
-        assert text.index("0 < price") < text.index("10 / price")
-
-    def test_canonical_query_is_result_identical_on_corpus(self, tiny_spider):
-        """Strong soundness check over corpus gold queries.
-
-        The canonical *text* may rename bindings (changing the surface
-        names of unaliased qualified output columns — the signature half
-        of the key restores that sensitivity), so the guarantee is: rows
-        and ordering always identical, and full-key equality implies
-        byte-identical results including column names.
-        """
-        checked = 0
-        for example in tiny_spider.examples[:60]:
-            db = tiny_spider.database(example.db_id)
-            query = parse_sql(example.sql)
-            canonical = parse_sql(canonical_sql(example.sql))
+    def test_pair_agrees_on_every_engine_cold_and_warm(self, a, b, shop_db):
+        qa, qb = parse_sql(a), parse_sql(b)
+        expected = _snap(execute_reference(qa, shop_db))
+        assert _snap(execute_reference(qb, shop_db)) == expected
+        for vector in (False, True):
+            previous = set_vector_enabled(vector)
             try:
-                original = execute_reference(query, db)
-            except SQLError as exc:
-                with pytest.raises(type(exc)):
-                    execute_reference(canonical, db)
-                continue
-            replay = execute_reference(canonical, db)
-            assert tuple(replay.rows) == tuple(original.rows)
-            assert replay.ordered == original.ordered
-            if _key(example.sql) == _key(canonical_sql(example.sql)):
-                assert replay.columns == original.columns
-            checked += 1
-        assert checked > 20
+                rescache.clear_result_cache()
+                for _ in range(2):  # cold, then warm
+                    for query in (qa, qb):
+                        assert _snap(execute(query, shop_db)) == expected
+            finally:
+                set_vector_enabled(previous)
+            stats = rescache.rescache_stats()
+            # one entry per distinct AST: keyword case and whitespace
+            # parse to one AST, every other pair makes two entries
+            distinct = len({qa, qb})
+            assert stats["entries"] == distinct
+            assert stats["misses"] == distinct
+            assert stats["hits"] == 4 - distinct
 
-    def test_corpus_idempotence(self, tiny_wikisql):
-        for example in tiny_wikisql.examples[:60]:
-            once = canonical_sql(example.sql)
-            assert canonical_sql(once) == once
 
-    def test_explain_surfaces_canonical_key(self, shop_db):
-        text = explain(
-            "SELECT p.name FROM products AS p WHERE 5 < p.price", shop_db
-        )
-        assert "result cache canonical key:" in text
-        assert "5 < t1.price" in text
-        assert "result cache name signature:" in text
+class TestExplain:
+    def test_explain_has_no_cache_key_footer(self, shop_db):
+        sql = "SELECT p.name FROM products AS p WHERE 5 < p.price"
+        text = explain(sql, shop_db)
+        assert "result cache" not in text
+        plan = compile_query(parse_sql(sql), shop_db.schema, shop_db)
+        assert _mask_timings(text) == _mask_timings(plan.explain(shop_db))
+        assert "scan products" in text.splitlines()[-1]
 
 
 # ----------------------------------------------------------------------
@@ -211,14 +140,49 @@ class TestResultCache:
         stats = rescache.rescache_stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
 
-    def test_semantic_spelling_hits(self, shop_db):
-        execute(parse_sql("SELECT name FROM products WHERE price > 5"), shop_db)
-        r = execute(
-            parse_sql("select   name from products where 5 < price"), shop_db
-        )
+    def test_two_spellings_are_two_entries(self, shop_db):
+        # a commuted predicate and a renamed alias: same rows, own entries
+        results = [
+            execute(parse_sql(sql), shop_db)
+            for sql in (
+                "SELECT p.name AS name FROM products AS p "
+                "WHERE p.price > 5 AND p.category = 'tools'",
+                "SELECT q.name AS name FROM products AS q "
+                "WHERE q.category = 'tools' AND 5 < q.price",
+            )
+        ]
+        assert results[0].rows
+        assert _snap(results[0]) == _snap(results[1])
         stats = rescache.rescache_stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
-        assert r.rows
+        assert stats["entries"] == 2
+        assert stats["misses"] == 2 and stats["hits"] == 0
+
+    def test_fresh_equal_ast_hits_the_interned_key(self, shop_db):
+        sql = (
+            "SELECT category, COUNT(*) FROM products GROUP BY category "
+            "ORDER BY COUNT(*) DESC LIMIT 2"
+        )
+        first, second = parse_sql(sql), parse_sql(sql)
+        assert first is not second
+        stored = execute(first, shop_db)
+        assert execute(second, shop_db) is stored
+        assert rescache.rescache_stats()["hits"] == 1
+        # the stored key and the memo both hold the first AST, so a probe
+        # with a fresh AST compares keys by identity, not tree by tree
+        (key,) = rescache._CACHE
+        assert key[0] is first
+        assert rescache._KEY_MEMO[second][0] is first
+
+    def test_peek_never_serves_a_cached_error(self, shop_db):
+        q = parse_sql("SELECT id + name FROM products")
+        with pytest.raises(SQLError) as first:
+            execute(q, shop_db)
+        assert rescache.rescache_stats()["entries"] == 1
+        assert rescache.peek(q, shop_db) is None
+        with pytest.raises(type(first.value)) as again:
+            rescache.cached_execute(q, shop_db)
+        assert str(again.value) == str(first.value)
+        assert rescache.rescache_stats()["hits"] == 1
 
     def test_hit_returns_shared_immutable_result(self, shop_db):
         q = parse_sql("SELECT name FROM products")
@@ -369,7 +333,7 @@ class TestResultCache:
 
 
 class TestKeyMemo:
-    """The canonical-key memo is keyed by AST value, bounded, clearable."""
+    """The key memo is keyed by AST value, bounded, clearable."""
 
     def test_equal_asts_share_one_entry(self, shop_db):
         sql = "SELECT name FROM products WHERE price > 5"
@@ -699,14 +663,6 @@ class TestCacheCLI:
         assert rescache.rescache_stats()["max_bytes"] == 12345
         assert main(["budget", "-1"]) == 1
 
-    def test_key(self, capsys):
-        from repro.sql.cache_cli import main
-
-        assert main(["key", "SELECT name FROM products WHERE 5 < price"]) == 0
-        out = capsys.readouterr().out
-        assert "canonical: SELECT name FROM products AS t1 WHERE 5 < price" in out
-        assert main(["key", "SELECT FROM"]) == 1
-
     def test_dispatch_from_main_module(self, capsys):
         from repro.__main__ import main
 
@@ -735,8 +691,8 @@ class TestObservabilityGauges:
 # concurrent access (the serving layer's workers share one cache)
 # ----------------------------------------------------------------------
 class TestConcurrentAccess:
-    """N threads racing hit / store / invalidate on the same canonical
-    key: no reader may ever observe a stale or partially-stored result.
+    """N threads racing hit / store / invalidate on the same key: no
+    reader may ever observe a stale or partially-stored result.
 
     The database flips between exactly two states (4 products and 5),
     so every COUNT(*) a reader gets back must be 4 or 5 — a torn store,
@@ -799,6 +755,42 @@ class TestConcurrentAccess:
         # quiescent: the cache must agree with the settled database state
         final = rescache.cached_execute(query, shop_db)
         assert final.rows[0][0] == len(table.rows)
+
+    def test_racing_fresh_asts_intern_one_object(self, shop_db):
+        """Cold racing misses with fresh, equal ASTs: every thread gets
+        the same rows, and the one stored key holds the AST the memo
+        interned, so later fresh-AST hits compare keys by identity."""
+        import sys
+        import threading
+
+        sql = "SELECT category, COUNT(*) FROM products GROUP BY category"
+        per_thread = 50
+        results: list = []
+        barrier = threading.Barrier(self.THREADS)
+
+        def worker():
+            asts = [parse_sql(sql) for _ in range(per_thread)]
+            barrier.wait()
+            for query in asts:
+                results.append(rescache.cached_execute(query, shop_db))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker) for _ in range(self.THREADS)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == self.THREADS * per_thread
+        assert len({result.rows for result in results}) == 1
+        (key,) = rescache._CACHE
+        assert key[0] is rescache._KEY_MEMO[parse_sql(sql)][0]
 
     def test_racing_hits_share_one_store(self, shop_db):
         """Pure read contention: every thread gets the right rows, all
