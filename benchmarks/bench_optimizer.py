@@ -11,7 +11,14 @@ off (off is exactly the prior written-order, full-scan engine) on:
 3. ``order_by_limit`` — top-k over a large table (sorted-index
    short-circuit vs full sort);
 4. ``test_suite_evaluation`` — end-to-end test-suite metric runs over
-   fuzzed database variants.
+   fuzzed database variants;
+5. ``append_then_read`` — inserts interleaved with indexed point, ``IN``,
+   range and ``ORDER BY ... DESC LIMIT`` reads.  Every read must equal
+   ``execute_reference``, and after the first reads no index may be built
+   from scratch again: appends extend the cached indexes.  Both are
+   counts, so the section gates on them; the µs per read of catch-up vs
+   a forced rebuild (``invalidate_caches`` before each read) is reported
+   only.
 
 Every workload first asserts the optimized result is identical to
 ``execute_reference`` — the differential oracle the optimizer can never
@@ -44,6 +51,7 @@ from repro.data.database import Database
 from repro.data.schema import Column, ColumnType, Schema, TableSchema
 from repro.errors import SQLError
 from repro.metrics.test_suite import test_suite_match, test_suite_match_many
+from repro.sql import index as sqlindex
 from repro.sql.executor import execute, execute_reference
 from repro.sql.parser import parse_sql
 from repro.sql.plan import (
@@ -206,6 +214,81 @@ def _differential_sweep(db: Database, count: int, seed: int = 2024) -> int:
     return checked
 
 
+def _append_then_read(appends: int) -> dict[str, float]:
+    """Interleave inserts into ``customers`` with indexed reads.
+
+    The appended rows repeat the point-lookup key, reuse regions, carry
+    NULLs and keep raising the top score, so a stale or wrongly extended
+    index changes an answer.  Runs on its own database: it grows tables
+    the other sections time.
+    """
+    db = _bench_db(num_customers=300, num_orders=0, num_products=0)
+    table = db.table("customers")
+    assert len(table.rows) >= sqlindex.MIN_INDEX_ROWS
+    target = len(table.rows) // 2
+    plans = []
+    for sql in (
+        f"SELECT name FROM customers WHERE id = {target}",
+        "SELECT id FROM customers WHERE region IN ('north', 'west')",
+        "SELECT id, score FROM customers WHERE score BETWEEN 100 AND 200",
+        "SELECT name, score FROM customers ORDER BY score DESC LIMIT 5",
+    ):
+        query = parse_sql(sql)
+        plans.append((sql, query, compile_query(query, db.schema, db)))
+
+    def read_all(check: bool) -> None:
+        for sql, query, plan in plans:
+            got = plan.run(db)
+            if check:
+                ref = execute_reference(query, db)
+                assert got.columns == ref.columns, sql
+                assert got.rows == ref.rows, sql
+                assert got.ordered == ref.ordered, sql
+
+    def append(i: int) -> None:
+        n = len(table.rows)
+        table.append((
+            target if i % 2 else n,
+            f"customer_{n}",
+            None if i % 5 == 0 else REGIONS[i % len(REGIONS)],
+            None if i % 7 == 0 else 1000 + i,
+        ))
+
+    read_all(check=True)  # first reads build every index once
+    before = sqlindex.index_cache_stats()
+    catch_up_s = 0.0
+    for i in range(appends):
+        append(i)
+        start = time.perf_counter()
+        read_all(check=False)
+        catch_up_s += time.perf_counter() - start
+        read_all(check=True)
+    after = sqlindex.index_cache_stats()
+    builds = sum(
+        after[k] - before[k] for k in ("hash_builds", "sorted_builds")
+    )
+    catchups = after["catchups"] - before["catchups"]
+    assert builds == 0, f"{builds} index builds across appends"
+    assert catchups >= appends, f"only {catchups} catch-ups"
+
+    rebuild_s = 0.0
+    for i in range(appends):
+        append(appends + i)
+        table.invalidate_caches()
+        start = time.perf_counter()
+        read_all(check=False)
+        rebuild_s += time.perf_counter() - start
+    reads = appends * len(plans)
+    return {
+        "appends": appends,
+        "reads_checked": (appends + 1) * len(plans),
+        "index_builds_after_first_read": builds,
+        "catchups": catchups,
+        "catch_up_us_per_read": round(catch_up_s / reads * 1e6, 1),
+        "rebuild_us_per_read": round(rebuild_s / reads * 1e6, 1),
+    }
+
+
 def _drop_metric_caches(dbs) -> None:
     clear_plan_caches()
     for db in dbs:
@@ -284,9 +367,11 @@ def main(argv=None):
     if args.smoke:
         db = _bench_db(num_customers=300, num_orders=600, num_products=80)
         iters, sweep, examples, candidates, variants = 20, 40, 4, 3, 4
+        appends = 40
     else:
         db = _bench_db(num_customers=4000, num_orders=12000, num_products=500)
         iters, sweep, examples, candidates, variants = 30, 150, 20, 8, 8
+        appends = 200
 
     # the sweep is a correctness gate, not a timing: the reference
     # interpreter it compares against needs a small database to be feasible
@@ -297,6 +382,16 @@ def main(argv=None):
     checked = _differential_sweep(sweep_db, sweep)
     print(f"differential sweep: {checked} random queries agree with the "
           "reference interpreter")
+
+    appended = _append_then_read(appends)
+    print(
+        f"append_then_read: {appended['reads_checked']} reads match the "
+        f"reference across {appended['appends']} appends; "
+        f"{appended['index_builds_after_first_read']} index builds, "
+        f"{appended['catchups']} catch-ups; "
+        f"{appended['catch_up_us_per_read']} us/read caught up vs "
+        f"{appended['rebuild_us_per_read']} us/read rebuilt"
+    )
 
     results = _micro_workloads(db, iters)
     results["test_suite_evaluation"] = _test_suite_workload(
@@ -325,6 +420,7 @@ def main(argv=None):
     payload = {
         "smoke": args.smoke,
         "differential_queries_checked": checked,
+        "append_then_read": appended,
         "workloads": results,
     }
     with open(out_path, "w", encoding="utf-8") as handle:

@@ -37,23 +37,36 @@ class Table:
 
     @property
     def version(self) -> int:
-        """Monotonic mutation counter, bumped by :meth:`append`."""
+        """The rows' *generation*: a counter bumped by :meth:`replace_rows`,
+        :meth:`invalidate_caches` and a raw swap of the ``rows`` list.
+
+        :meth:`append` leaves it alone, so within one generation the rows
+        only grow and a derived structure built over ``rows[:n]`` can
+        catch up by folding in ``rows[n:]``.
+        """
         return getattr(self, "_version", 0)
 
     def cache_token(self) -> tuple[int, int]:
-        """Stamp identifying this table's current contents.
+        """Stamp identifying this table's current contents:
+        ``(generation, len(rows))``.
 
-        Derived caches (statistics, indexes, column batches) key their
-        entries by this token so any mutation — ``append``, a bulk
-        :meth:`replace_rows`, or even a raw swap of the ``rows`` list —
-        retires them.  Raw swaps are detected by holding a strong
-        reference to the last-seen list and bumping the version when
-        ``self.rows`` is no longer that object; the strong reference is
-        what makes the ``is`` check sound (an earlier scheme put
-        ``id(rows)`` in the token itself, but a swapped-in list can be
-        allocated at a garbage-collected predecessor's address and alias
-        its token).  In-place mutation of an existing row tuple's slot is
-        the one thing it cannot see; row tuples are immutable by contract.
+        The contract: in place, rows only grow (through :meth:`append`).
+        Any other change goes through :meth:`replace_rows`,
+        :meth:`invalidate_caches` or a swap of the ``rows`` list, each of
+        which starts a new generation.  So the token moves on every
+        mutation, and caches of whole answers or whole-table summaries
+        (result and turn caches, statistics, column batches) key on all
+        of it, while access structures (indexes) key on the generation
+        alone and extend themselves over appended rows.
+
+        Raw swaps are detected by holding a strong reference to the
+        last-seen list and bumping the generation when ``self.rows`` is
+        no longer that object; the strong reference is what makes the
+        ``is`` check sound (an earlier scheme put ``id(rows)`` in the
+        token itself, but a swapped-in list can be allocated at a
+        garbage-collected predecessor's address and alias its token).
+        In-place mutation of an existing row tuple's slot is the one
+        thing it cannot see; row tuples are immutable by contract.
         """
         rows = self.rows
         if getattr(self, "_token_rows", None) is not rows:
@@ -62,7 +75,8 @@ class Table:
         return (self.version, len(rows))
 
     def invalidate_caches(self) -> None:
-        """Force derived caches (stats, indexes) to rebuild on next use."""
+        """Start a new generation: every derived structure — statistics,
+        indexes and column batches — rebuilds from all rows on next use."""
         self._version = self.version + 1
 
     def column_index(self, name: str) -> int:
@@ -84,10 +98,9 @@ class Table:
                 f"with {len(self.schema.columns)} columns"
             )
         self.rows.append(row)
-        self._version = self.version + 1
 
     def replace_rows(self, rows: list[tuple[Value, ...]]) -> None:
-        """Swap in a whole new row list, invalidating derived caches."""
+        """Swap in a whole new row list, starting a new generation."""
         self.rows = rows
         self._version = self.version + 1
 

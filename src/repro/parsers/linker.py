@@ -54,6 +54,16 @@ class SchemaLinker:
         self._max_len = max(
             (s.count(" ") + 1 for s in self._index), default=1
         )
+        #: word length -> the single-word surfaces within one letter of
+        #: that length, in index order: the only ones a fuzzy match (edit
+        #: distance at most one) can hit
+        window: dict[int, list[str]] = {}
+        for surface in self._index:
+            if " " not in surface:
+                n = len(surface)
+                for length in (n - 1, n, n + 1):
+                    window.setdefault(length, []).append(surface)
+        self._fuzzy_window = {n: tuple(s) for n, s in window.items()}
 
     # ------------------------------------------------------------------
     def _build_index(self) -> None:
@@ -150,16 +160,12 @@ class SchemaLinker:
         word = lowered[start:end]
         if len(word) < 4:
             return None
-        best = None
-        for surface, hit in self._index.items():
-            if " " in surface or abs(len(surface) - len(word)) > 1:
-                continue
+        for surface in self._fuzzy_window.get(len(word), ()):
             if _edit_distance_at_most_one(word, surface):
-                best = (surface, hit)
                 break
-        if best is None:
+        else:
             return None
-        surface, (kind, table, column) = best
+        kind, table, column = self._index[surface]
         return (
             Mention(
                 start=start,

@@ -1,9 +1,7 @@
 """On-demand table indexes for the cost-based optimizer.
 
 Two physical index kinds, both built lazily the first time a plan asks for
-them and cached on the :class:`~repro.data.database.Table` object, stamped
-with :meth:`Table.cache_token` so any mutation (``append``, ``insert``,
-``replace_rows``) retires them:
+them and cached on the :class:`~repro.data.database.Table` object:
 
 - :class:`HashIndex` — buckets over one or more columns' values, used for
   equality and ``IN`` scan predicates and as the persistent build side of
@@ -12,6 +10,17 @@ with :meth:`Table.cache_token` so any mutation (``append``, ``insert``,
 - :class:`SortedIndex` — row positions ordered by the executor's
   :func:`~repro.data.values.sort_key`, used for range predicates (bisect)
   and ``ORDER BY ... LIMIT`` top-k short-circuits.
+
+The cache is keyed by the table's *generation* (:attr:`Table.version`).
+Within a generation rows only grow, so each index records the row count
+it covers and, once ``append`` / ``insert`` have grown the table past it,
+catches up by folding in just the new rows.  ``replace_rows``,
+``invalidate_caches`` and a raw swap of the ``rows`` list start a new
+generation, which retires every index of that table.
+
+A published index is never mutated: ``lookup`` hands out its internal
+bucket lists and serve workers share tables across threads, so a
+catch-up returns a new index that copies the containers it changes.
 
 Key semantics exactly mirror the executor's three-valued logic: rows whose
 key is NULL never enter a hash bucket (``NULL = x`` is unknown), and range
@@ -47,11 +56,15 @@ __all__ = [
 #: only amortizes above it.  Tests lower it to force the index paths.
 MIN_INDEX_ROWS = 32
 
+#: ``sort_key(None)``: every NULL key sorts at or below it.
+_NULL_KEY = sort_key(None)
+
 _COUNTERS = {
-    "hash_builds": 0,
+    "hash_builds": 0,  # from-scratch builds only
     "sorted_builds": 0,
+    "catchups": 0,  # cached indexes extended over appended rows
     "hits": 0,
-    "invalidations": 0,
+    "invalidations": 0,  # generation changes that retired a table's indexes
 }
 
 
@@ -103,13 +116,15 @@ class HashIndex:
 
     ``buckets`` maps key -> rows (in base row order); ``positions`` maps
     key -> base row positions, used to restore row order when a scan has
-    to merge several buckets (``IN`` predicates).
+    to merge several buckets (``IN`` predicates).  ``length`` is the
+    number of leading table rows the index covers.
     """
 
-    __slots__ = ("slots", "buckets", "positions", "_pairs")
+    __slots__ = ("slots", "length", "buckets", "positions", "_pairs")
 
     def __init__(self, rows: list[tuple[Value, ...]], slots: tuple[int, ...]):
         self.slots = slots
+        self.length = len(rows)
         self._pairs: dict | None = None
         self.buckets = build_hash_buckets(rows, slots)
         positions: dict = {}
@@ -135,6 +150,49 @@ class HashIndex:
                 else:
                     bucket.append(pos)
         self.positions = positions
+
+    def extended(self, rows: list[tuple[Value, ...]]) -> "HashIndex":
+        """A new index over all of *rows*, whose first ``self.length``
+        rows this index already covers; ``self`` is left untouched.
+
+        Only the lists of keys the new rows touch are copied; the other
+        keys share their (never mutated) lists with ``self``.
+        """
+        slots = self.slots
+        single = slots[0] if len(slots) == 1 else None
+        buckets = dict(self.buckets)
+        positions = dict(self.positions)
+        touched: set = set()
+        end = len(rows)
+        for pos in range(self.length, end):
+            row = rows[pos]
+            if single is not None:
+                key = row[single]
+                if key is None:
+                    continue
+            else:
+                key = tuple(row[s] for s in slots)
+                if any(v is None for v in key):
+                    continue
+            if key in touched:
+                buckets[key].append(row)
+                positions[key].append(pos)
+            else:
+                touched.add(key)
+                buckets[key] = buckets.get(key, []) + [row]
+                positions[key] = positions.get(key, []) + [pos]
+        out = HashIndex.__new__(HashIndex)
+        out.slots = slots
+        out.length = end
+        out.buckets = buckets
+        out.positions = positions
+        out._pairs = None
+        if self._pairs is not None:
+            pairs = dict(self._pairs)
+            for key in touched:
+                pairs[key] = list(zip(positions[key], buckets[key]))
+            out._pairs = pairs
+        return out
 
     @property
     def pairs(self) -> dict:
@@ -172,18 +230,53 @@ class HashIndex:
 
 
 class SortedIndex:
-    """Row positions ordered by sort key; NULLs first, ties in row order."""
+    """Row positions ordered by sort key; NULLs first, ties in row order.
 
-    __slots__ = ("keys", "asc", "_desc", "null_count")
+    ``length`` is the number of leading table rows the index covers.
+    """
+
+    __slots__ = ("slot", "length", "keys", "asc", "_desc", "null_count")
 
     def __init__(self, rows: list[tuple[Value, ...]], slot: int):
         decorated = sorted(
             (sort_key(row[slot]), pos) for pos, row in enumerate(rows)
         )
+        self.slot = slot
+        self.length = len(rows)
         self.keys = [key for key, _pos in decorated]
         self.asc = [pos for _key, pos in decorated]
         self._desc: list[int] | None = None
-        self.null_count = bisect_right(self.keys, (0, 0.0))
+        self.null_count = bisect_right(self.keys, _NULL_KEY)
+
+    def extended(self, rows: list[tuple[Value, ...]]) -> "SortedIndex":
+        """A new index over all of *rows*, whose first ``self.length``
+        rows this index already covers; ``self`` is left untouched.
+
+        Each new position is larger than every covered one, so it goes
+        last among its equal keys: at ``bisect_right`` in ascending
+        order and, in a materialized ``desc``, at ``len(keys) -
+        bisect_left`` — no re-sort either way.
+        """
+        slot = self.slot
+        keys = list(self.keys)
+        asc = list(self.asc)
+        desc = None if self._desc is None else list(self._desc)
+        end = len(rows)
+        for pos in range(self.length, end):
+            key = sort_key(rows[pos][slot])
+            if desc is not None:
+                desc.insert(len(keys) - bisect_left(keys, key), pos)
+            at = bisect_right(keys, key)
+            keys.insert(at, key)
+            asc.insert(at, pos)
+        out = SortedIndex.__new__(SortedIndex)
+        out.slot = slot
+        out.length = end
+        out.keys = keys
+        out.asc = asc
+        out._desc = desc
+        out.null_count = bisect_right(keys, _NULL_KEY)
+        return out
 
     @property
     def desc(self) -> list[int]:
@@ -237,47 +330,52 @@ class SortedIndex:
         return positions
 
 
-def _index_cache(table: Table, token) -> dict:
+def _cached(table: Table, key: tuple):
+    """The index cached under *key* for *table*'s current generation:
+    built on a miss, extended over rows appended since it was built."""
+    generation = table.cache_token()[0]
     cached = getattr(table, "_index_cache", None)
-    if cached is None or cached[0] != token:
+    if cached is None or cached[0] != generation:
         if cached is not None:
             _COUNTERS["invalidations"] += 1
-        cached = (token, {})
+        cached = (generation, {})
         table._index_cache = cached
-    return cached[1]
+    cache = cached[1]
+    index = cache.get(key)
+    rows = table.rows
+    length = len(rows)
+    if index is None or index.length > length:
+        # an index longer than the table means rows shrank in place, which
+        # the append-only contract rules out; rebuilding is still correct
+        kind, columns = key
+        if kind == "hash":
+            slots = tuple(table.column_index(c) for c in columns)
+            index = HashIndex(rows, slots)
+        else:
+            index = SortedIndex(rows, table.column_index(columns))
+        cache[key] = index
+        _COUNTERS[kind + "_builds"] += 1
+    elif index.length < length:
+        index = cache[key] = index.extended(rows)
+        _COUNTERS["catchups"] += 1
+    else:
+        _COUNTERS["hits"] += 1
+    return index
 
 
 def hash_index(table: Table, columns: tuple[str, ...]) -> HashIndex:
-    """Hash index over *columns* (lowercased names), cached and stamped."""
-    cache = _index_cache(table, table.cache_token())
-    key = ("hash", columns)
-    index = cache.get(key)
-    if index is None:
-        slots = tuple(table.column_index(c) for c in columns)
-        index = HashIndex(table.rows, slots)
-        cache[key] = index
-        _COUNTERS["hash_builds"] += 1
-    else:
-        _COUNTERS["hits"] += 1
-    return index
+    """Hash index over *columns* (lowercased names), cached per generation."""
+    return _cached(table, ("hash", columns))
 
 
 def sorted_index(table: Table, column: str) -> SortedIndex:
-    """Sorted index over *column*, cached and stamped."""
-    cache = _index_cache(table, table.cache_token())
-    key = ("sorted", column)
-    index = cache.get(key)
-    if index is None:
-        index = SortedIndex(table.rows, table.column_index(column))
-        cache[key] = index
-        _COUNTERS["sorted_builds"] += 1
-    else:
-        _COUNTERS["hits"] += 1
-    return index
+    """Sorted index over *column*, cached per generation."""
+    return _cached(table, ("sorted", column))
 
 
 def index_cache_stats() -> dict[str, int]:
-    """Index-cache effectiveness counters (builds/hits/invalidations)."""
+    """Index-cache counters: from-scratch builds, catch-ups, hits and
+    invalidations."""
     return dict(_COUNTERS)
 
 

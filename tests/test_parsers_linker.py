@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.data.domains import domain_by_name
-from repro.parsers.linker import SchemaLinker, _edit_distance_at_most_one
+from repro.data.domains import domain_by_name, domain_names
+from repro.parsers.linker import (
+    SchemaLinker,
+    _edit_distance_at_most_one,
+    _word_spans,
+)
 
 
 @pytest.fixture
@@ -86,3 +90,52 @@ class TestFuzzy:
             m.kind == "column" and m.column == "city"
             for m in fuzzy.link("the cit")
         )
+
+
+def _full_scan_fuzzy_match(linker, word):
+    """The unwindowed scan: the first single-word surface in index order
+    within edit distance one of *word*."""
+    for surface, hit in linker._index.items():
+        if " " in surface or abs(len(surface) - len(word)) > 1:
+            continue
+        if _edit_distance_at_most_one(word, surface):
+            return hit
+    return None
+
+
+def _one_edit_variants(surface):
+    letters = "aeiosx"
+    yield surface
+    for i in range(len(surface) + 1):
+        for ch in letters:
+            yield surface[:i] + ch + surface[i:]  # insertion
+        if i < len(surface):
+            yield surface[:i] + surface[i + 1:]  # deletion
+            for ch in letters:
+                yield surface[:i] + ch + surface[i + 1:]  # substitution
+
+
+@pytest.mark.parametrize("domain", domain_names())
+def test_length_windows_match_the_full_scan(domain):
+    # every one-edit typo of every single-word surface, plus the surfaces
+    # themselves, must link to what the unwindowed scan picked
+    linker = SchemaLinker(
+        domain_by_name(domain).schema, world_knowledge=True, fuzzy=True
+    )
+    surfaces = [s for s in linker._index if " " not in s]
+    checked = 0
+    for surface in surfaces:
+        for word in set(_one_edit_variants(surface)):
+            spans = _word_spans(word)
+            if len(spans) != 1 or spans[0] != (0, len(word)):
+                continue
+            match = linker._fuzzy_match_at(word, spans, 0)
+            expected = _full_scan_fuzzy_match(linker, word)
+            if len(word) < 4:
+                expected = None
+            got = None if match is None else (
+                match[0].kind, match[0].table, match[0].column
+            )
+            assert got == expected, word
+            checked += 1
+    assert checked > 100
