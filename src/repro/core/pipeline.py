@@ -24,8 +24,8 @@ runs only the chart checks that could trigger chart repair.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from time import perf_counter
 
 from repro.core.turn_cache import TurnCache, turn_key
 from repro.data.database import Database
@@ -63,12 +63,12 @@ _DEGRADED_TURNS = _registry.counter("repro.pipeline.degraded.turns")
 _DEGRADES = _registry.counter("repro.resilience.degrades")
 
 
-#: the per-stage latency histograms, bound once rather than looked up by
-#: a formatted name on every stage of every turn
-_STAGE_SECONDS = {
+#: the per-stage latency histograms, fed together once per computed turn
+#: (one lock round-trip for the turn's stages, see Pipeline._compute_turn)
+_STAGE_SECONDS = _obs_metrics.HistogramGroup({
     name: _registry.histogram(f"repro.pipeline.stage.{name}.seconds")
     for name in ("preprocess", "translate", "lint", "execute", "present")
-}
+})
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,6 +111,11 @@ class PipelineTrace:
     #: e.g. ``translate:rule-fallback``); empty on a healthy turn.  Only
     #: populated when the pipeline runs with a :class:`ResiliencePolicy`.
     degraded: tuple[str, ...] = ()
+    #: The preprocess stage's decision: True when the question asked for
+    #: a chart, so the turn took the visualization branch — also when it
+    #: ended data-only (render ladder) or failed.  False on a turn aborted
+    #: before preprocessing finished.
+    vis_intent: bool = False
 
     @property
     def succeeded(self) -> bool:
@@ -132,26 +137,67 @@ class PipelineTrace:
         return "\n".join(lines)
 
 
-@dataclass(slots=True)
-class _TurnBuilder:
-    """The mutable turn the stages and ladders write; frozen once."""
+def _slot_constructor(cls):
+    """A positional constructor for the frozen, slotted dataclass *cls*.
 
-    question: str
-    stages: list[StageRecord] = field(default_factory=list)
-    functional_expression: str | None = None
-    query: Query | None = None
-    result: Result | None = None
-    chart: Chart | None = None
-    error: str | None = None
-    span: object | None = None
-    degraded: list[str] = field(default_factory=list)
+    ``build(*values)`` returns the same object as ``cls(*values)`` with
+    every field given.  The generated frozen ``__init__`` stores each
+    field through ``object.__setattr__``; writing each slot through its
+    descriptor takes about half the time, and the per-turn path builds
+    every record.  *cls* must have no ``__post_init__``.
+    """
+    names = [f.name for f in fields(cls)]
+    namespace = {"new": object.__new__, "cls": cls}
+    for name in names:
+        namespace[f"set_{name}"] = getattr(cls, name).__set__
+    body = "".join(f"    set_{name}(obj, {name})\n" for name in names)
+    exec(
+        f"def build({', '.join(names)}):\n"
+        f"    obj = new(cls)\n{body}    return obj\n",
+        namespace,
+    )
+    return namespace["build"]
 
-    def freeze(self) -> PipelineTrace:
-        return PipelineTrace(
-            self.question, tuple(self.stages), self.functional_expression,
-            self.query, self.result, self.chart, self.error, self.span,
-            degraded=tuple(self.degraded),
-        )
+
+_new_stage_record = _slot_constructor(StageRecord)
+_new_trace = _slot_constructor(PipelineTrace)
+
+
+# Each stage's output text, rendered from the stage's value.  Module
+# functions rather than per-turn closures: Pipeline._stage takes the
+# stage's work and its renderer as plain callables plus arguments.
+def _intent_output(is_vis: bool) -> str:
+    return "intent: visualization" if is_vis else "intent: query"
+
+
+def _vql_output(vql: str | None) -> str:
+    return vql or "(no translation)"
+
+
+def _translation_output(parse_result: ParseResult) -> str:
+    if parse_result.query is None:
+        return "(no translation)"
+    return to_sql(parse_result.query)
+
+
+def _decision_output(decision) -> str:
+    return decision.describe()
+
+
+def _rows_output(result: Result | None) -> str:
+    return f"{len(result.rows)} row(s)" if result is not None else "(failed)"
+
+
+def _rendered_output(rendered: Chart | Result | None) -> str:
+    if rendered is None:
+        return "(render failed)"
+    if isinstance(rendered, Chart):
+        return f"chart with {len(rendered.points)} points"
+    return "degraded to data-only result"
+
+
+def _columns_output(columns: str) -> str:
+    return f"columns: {columns}"
 
 
 @dataclass
@@ -311,10 +357,12 @@ class Pipeline:
         ``(question, Query)`` turns for conversational follow-ups.
 
         Observability: every run increments ``repro.pipeline.runs`` (and
-        ``repro.pipeline.errors`` on failure) and feeds the per-stage
-        ``repro.pipeline.stage.<name>.seconds`` latency histograms; with
-        tracing enabled the run also emits a ``repro.pipeline.run`` span
-        tree, attached to the trace as ``trace.span``.
+        ``repro.pipeline.errors`` on failure); every computed turn feeds
+        the per-stage ``repro.pipeline.stage.<name>.seconds`` latency
+        histograms once, one observation per stage that ran, when it
+        finishes (a replayed turn feeds none).  With tracing enabled the
+        run also emits a ``repro.pipeline.run`` span tree, attached to
+        the trace as ``trace.span``.
 
         Repeated turns are cached end-to-end: when the result cache is
         enabled, tracing is off and no fault plan is active, an identical
@@ -327,7 +375,11 @@ class Pipeline:
         _RUNS.inc()
         trace = self.turn_cache.get_or_compute(
             turn_key(question, db, knowledge, history),
-            lambda: self._compute_turn(question, db, knowledge, history),
+            self._compute_turn,
+            question,
+            db,
+            knowledge,
+            history,
         )
         if trace.error is not None:
             _ERRORS.inc()
@@ -340,64 +392,70 @@ class Pipeline:
         knowledge: str | None,
         history: list | None,
     ) -> PipelineTrace:
-        if self.resilience is not None:
-            turn = self._run_turn_resilient(question, db, knowledge, history)
-        else:
-            turn = self._run_turn(question, db, knowledge, history)
-        if turn.degraded:
-            _DEGRADED_TURNS.inc()
-        return turn.freeze()
+        """Run the stages once and build the turn's frozen trace.
 
-    def _run_turn(
-        self,
-        question: str,
-        db: Database,
-        knowledge: str | None,
-        history: list | None,
-    ) -> _TurnBuilder:
-        if _obs_trace._ENABLED:
-            with _obs_trace.span(
-                "repro.pipeline.run", question=question
-            ) as span:
-                turn = self._run_stages(question, db, knowledge, history)
-                span.set_attr("error", turn.error)
-                turn.span = span
-        else:
-            turn = self._run_stages(question, db, knowledge, history)
-        return turn
-
-    def _run_turn_resilient(
-        self,
-        question: str,
-        db: Database,
-        knowledge: str | None,
-        history: list | None,
-    ) -> _TurnBuilder:
-        """One turn under the policy's deadline, guaranteed not to raise.
-
-        The turn budget becomes the ambient deadline for every stage;
-        stage-level faults are handled by the per-stage ladders, and
-        anything that still escapes (an expired budget between stages, a
-        fault in un-laddered glue) is converted into an errored-but-
-        returned turn here — a resilient pipeline's contract is that
-        ``run`` never raises.
+        With a resilience policy the turn budget is the ambient deadline
+        for every stage, and anything that escapes the stage ladders (an
+        expired budget between stages, a fault in un-laddered glue) is
+        converted into an errored-but-returned turn — a resilient
+        pipeline's contract is that ``run`` never raises.  Either way
+        the stages that finished feed their latency histograms here,
+        once, even when the turn raised or was aborted.
         """
+        stages: list[StageRecord] = []
+        degraded: list[str] = []
         policy = self.resilience
-        bounded = policy.turn_deadline is not None
+        bounded = policy is not None and policy.turn_deadline is not None
         if bounded:
             token = _deadline.push_budget(policy.turn_deadline, policy.clock)
         try:
-            turn = self._run_turn(question, db, knowledge, history)
-        except Exception as exc:  # belt and braces: never raise
-            turn = _TurnBuilder(question)
-            turn.error = f"turn aborted: {exc}"
-            self._mark_degraded(turn, "turn:aborted")
+            if _obs_trace._ENABLED:
+                trace = self._run_traced(
+                    question, db, knowledge, history, stages, degraded
+                )
+            else:
+                trace = self._run_stages(
+                    question, db, knowledge, history, stages, degraded, None
+                )
+        except Exception as exc:
+            if policy is None:
+                raise
+            # belt and braces: the aborted turn reports only its abort
+            degraded = []
+            self._mark_degraded(degraded, "turn:aborted")
+            trace = PipelineTrace(
+                question,
+                error=f"turn aborted: {exc}",
+                degraded=tuple(degraded),
+            )
         finally:
             if bounded:
                 _deadline.pop_budget(token)
-        if turn.degraded and turn.span is not None:
-            turn.span.set_attr("degraded", ",".join(turn.degraded))
-        return turn
+            _STAGE_SECONDS.observe_many(
+                [(record.stage, record.seconds) for record in stages]
+            )
+        if degraded:
+            _DEGRADED_TURNS.inc()
+        return trace
+
+    def _run_traced(
+        self,
+        question: str,
+        db: Database,
+        knowledge: str | None,
+        history: list | None,
+        stages: list[StageRecord],
+        degraded: list[str],
+    ) -> PipelineTrace:
+        """:meth:`_run_stages` inside a ``repro.pipeline.run`` span."""
+        with _obs_trace.span("repro.pipeline.run", question=question) as span:
+            trace = self._run_stages(
+                question, db, knowledge, history, stages, degraded, span
+            )
+            span.set_attr("error", trace.error)
+        if degraded:
+            span.set_attr("degraded", ",".join(degraded))
+        return trace
 
     def _run_stages(
         self,
@@ -405,163 +463,163 @@ class Pipeline:
         db: Database,
         knowledge: str | None,
         history: list | None,
-    ) -> _TurnBuilder:
-        turn = _TurnBuilder(question)
-
+        stages: list[StageRecord],
+        degraded: list[str],
+        span,
+    ) -> PipelineTrace:
         is_vis = self._stage(
-            turn,
-            "preprocess",
-            lambda: wants_visualization(question),
-            render=lambda v: "intent: visualization" if v else "intent: query",
+            stages, "preprocess", _intent_output,
+            wants_visualization, question,
         )
-
         request = ParseRequest(
-            question=question,
-            schema=db.schema,
-            db=db,
-            knowledge=knowledge,
-            history=list(history or []),
+            question, db.schema, db, knowledge, list(history or [])
         )
-
         if is_vis:
-            vql = self._stage(
-                turn,
-                "translate",
-                lambda: self._translate_vis(request, turn),
-                render=lambda v: v or "(no translation)",
-            )
-            if vql is None:
-                turn.error = "translation failed"
-                return turn
-            # the program the gate parsed, so render does not parse again
-            program = None
-            if self.vis_lint_gate is not None:
-                decision = self._stage(
-                    turn,
-                    "lint",
-                    lambda: self.vis_lint_gate.decide([vql], db.schema, db=db),
-                    render=lambda d: d.describe(),
-                )
-                if decision.chosen is not None:
-                    vql = decision.chosen
-                program = decision.program
-            turn.functional_expression = vql
-            chart = self._stage(
-                turn,
-                "execute",
-                lambda: self._render_chart(
-                    vql if program is None else program, db, turn
-                ),
-                render=lambda c: (
-                    f"chart with {len(c.points)} points"
-                    if c is not None
-                    else (
-                        "degraded to data-only result"
-                        if turn.result is not None
-                        else "(render failed)"
-                    )
-                ),
-            )
-            if chart is None:
-                if turn.result is not None:
-                    # render ladder degraded to data-only: present the
-                    # underlying rows like a query turn
-                    data = turn.result
-                    self._stage(
-                        turn,
-                        "present",
-                        lambda: ", ".join(data.columns),
-                        render=lambda c: f"columns: {c}",
-                    )
-                    return turn
-                turn.error = "chart rendering failed"
-                return turn
-            turn.chart = chart
-            self._stage(turn, "present", chart.title_line, render=str)
-            return turn
-
-        parse_result = self._stage(
-            turn,
-            "translate",
-            lambda: self._translate_sql(request, turn),
-            render=lambda r: (
-                to_sql(r.query) if r.query is not None else "(no translation)"
-            ),
+            outcome = self._vis_stages(request, db, stages, degraded)
+        else:
+            outcome = self._sql_stages(request, db, stages, degraded)
+        expression, query, result, chart, error = outcome
+        return _new_trace(
+            question, tuple(stages), expression, query, result, chart,
+            error, span, False, tuple(degraded), is_vis,
         )
-        if parse_result.query is None:
-            turn.error = "translation failed"
-            return turn
-        query = parse_result.query
-        # the translate stage's output is already this query's SQL text
-        translated_sql = turn.stages[-1].output
-        if self.lint_gate is not None:
-            candidates = [query] + [
-                c for c in parse_result.candidates if c != query
-            ]
+
+    def _vis_stages(
+        self,
+        request: ParseRequest,
+        db: Database,
+        stages: list[StageRecord],
+        degraded: list[str],
+    ) -> tuple:
+        """Translate → [lint] → render → present for a chart request.
+
+        Returns ``(functional_expression, query, result, chart, error)``.
+        """
+        vql = self._stage(
+            stages, "translate", _vql_output,
+            self._translate_vis, request, degraded,
+        )
+        if vql is None:
+            return None, None, None, None, "translation failed"
+        # the program the gate parsed, so render does not parse again
+        program = None
+        if self.vis_lint_gate is not None:
             decision = self._stage(
-                turn,
-                "lint",
-                lambda: self.lint_gate.decide(candidates, db.schema),
-                render=lambda d: d.describe(),
+                stages, "lint", _decision_output,
+                self.vis_lint_gate.decide, [vql], db.schema, db,
             )
             if decision.chosen is not None:
-                query = decision.chosen
-        turn.functional_expression = (
-            translated_sql if query is parse_result.query else to_sql(query)
+                vql = decision.chosen
+            program = decision.program
+        rendered = self._stage(
+            stages, "execute", _rendered_output,
+            self._render_chart, vql if program is None else program, db,
+            degraded,
         )
-        turn.query = query
+        if rendered is None:
+            return vql, None, None, None, "chart rendering failed"
+        if isinstance(rendered, Chart):
+            self._stage(stages, "present", str, rendered.title_line)
+            return vql, None, None, rendered, None
+        # render ladder degraded to data-only: present the underlying
+        # rows like a query turn
+        self._stage(
+            stages, "present", _columns_output, ", ".join, rendered.columns
+        )
+        return vql, None, rendered, None, None
+
+    def _sql_stages(
+        self,
+        request: ParseRequest,
+        db: Database,
+        stages: list[StageRecord],
+        degraded: list[str],
+    ) -> tuple:
+        """Translate → [lint] → execute → present for a data question.
+
+        Returns ``(functional_expression, query, result, chart, error)``.
+        """
+        parse_result = self._stage(
+            stages, "translate", _translation_output,
+            self._translate_sql, request, degraded,
+        )
+        query = parse_result.query
+        if query is None:
+            return None, None, None, None, "translation failed"
+        # the translate stage's output is already this query's SQL text
+        expression = stages[-1].output
+        if self.lint_gate is not None:
+            # identity first: the parser's best is usually also its
+            # first candidate, and a dataclass == builds two field tuples
+            candidates = [query] + [
+                c for c in parse_result.candidates
+                if c is not query and c != query
+            ]
+            decision = self._stage(
+                stages, "lint", _decision_output,
+                self.lint_gate.decide, candidates, db.schema,
+            )
+            if decision.chosen is not None and decision.chosen is not query:
+                query = decision.chosen
+                expression = to_sql(query)
         result = self._stage(
-            turn,
-            "execute",
-            lambda: self._execute(query, db, turn),
-            render=lambda r: (
-                f"{len(r.rows)} row(s)" if r is not None else "(failed)"
-            ),
+            stages, "execute", _rows_output,
+            self._execute, query, db, degraded,
         )
         if result is None:
-            turn.error = "execution failed"
-            return turn
-        turn.result = result
+            return expression, query, None, None, "execution failed"
         self._stage(
-            turn,
-            "present",
-            lambda: ", ".join(result.columns),
-            render=lambda c: f"columns: {c}",
+            stages, "present", _columns_output, ", ".join, result.columns
         )
-        return turn
+        return expression, query, result, None, None
 
     # ------------------------------------------------------------------
-    def _stage(self, turn: _TurnBuilder, name: str, fn, render):
+    def _stage(self, stages: list[StageRecord], name: str, render, fn, *args):
+        """Run ``fn(*args)`` as stage *name* and record its outcome.
+
+        Times the call (under the stage's deadline budget, if the policy
+        sets one), appends a :class:`StageRecord` holding ``render`` of
+        the value, and returns the value.  A raising stage records
+        nothing.  The latency histograms are fed later, once per turn.
+        """
         budget = self._stage_budgets.get(name)
-        traced = _obs_trace._ENABLED
-        start = time.perf_counter()
+        if _obs_trace._ENABLED:
+            return self._traced_stage(stages, name, budget, render, fn, args)
+        start = perf_counter()
+        if budget is None:
+            value = fn(*args)
+        else:
+            token = _deadline.push_budget(budget, self.resilience.clock)
+            try:
+                value = fn(*args)
+            finally:
+                _deadline.pop_budget(token)
+        seconds = perf_counter() - start
+        stages.append(_new_stage_record(name, render(value), seconds))
+        return value
+
+    def _traced_stage(self, stages, name, budget, render, fn, args):
+        """:meth:`_stage` under tracing: the work and its rendering run
+        in a ``repro.pipeline.stage.<name>`` span carrying ``output``."""
+        start = perf_counter()
         if budget is not None:
             token = _deadline.push_budget(budget, self.resilience.clock)
         try:
-            if traced:
-                with _obs_trace.span(f"repro.pipeline.stage.{name}") as span:
-                    value = fn()
-                    output = render(value)
-                    span.set_attr("output", output)
-            else:
-                value = fn()
+            with _obs_trace.span(f"repro.pipeline.stage.{name}") as span:
+                value = fn(*args)
+                output = render(value)
+                span.set_attr("output", output)
         finally:
             if budget is not None:
                 _deadline.pop_budget(token)
-        seconds = time.perf_counter() - start
-        _STAGE_SECONDS[name].observe(seconds)
-        if not traced:
-            output = render(value)
-        turn.stages.append(
-            StageRecord(stage=name, output=output, seconds=seconds)
-        )
+        stages.append(_new_stage_record(name, output, perf_counter() - start))
         return value
 
     # ------------------------------------------------------------------
     # resilient stage wrappers and degradation ladders
     # ------------------------------------------------------------------
-    def _mark_degraded(self, turn: _TurnBuilder, rung: str) -> None:
-        turn.degraded.append(rung)
+    def _mark_degraded(self, degraded: list[str], rung: str) -> None:
+        degraded.append(rung)
         _DEGRADES.inc()
         _registry.counter(f"repro.resilience.degrade.{rung}").inc()
 
@@ -577,8 +635,11 @@ class Pipeline:
             )
         return retry
 
-    def _guarded(self, component: str, stage: str, fn, organic: tuple = ()):
-        """Run one primary stage attempt under its breaker (and retries).
+    def _guarded(
+        self, component: str, stage: str, organic: tuple, fn, *args
+    ):
+        """Run one primary stage attempt ``fn(*args)`` under its breaker
+        (and retries).
 
         Raises :class:`CircuitOpenError` without calling *fn* when the
         component's breaker is open; otherwise runs *fn* (through the
@@ -616,9 +677,9 @@ class Pipeline:
             raise CircuitOpenError(component)
         try:
             if retry is not None:
-                result = retry.call(fn)
+                result = retry.call(fn, *args)
             else:
-                result = fn()
+                result = fn(*args)
         except Exception as exc:
             if isinstance(exc, ResilienceError) or not isinstance(
                 exc, organic
@@ -632,23 +693,29 @@ class Pipeline:
             breaker.record_success()
         return result
 
+    # The attempts test ``_faults._ACTIVE`` before calling a fault hook:
+    # ``turn_key`` has already run ``_faults.active()`` this turn, which
+    # reads ``REPRO_CHAOS`` once, so the flag alone says whether a plan
+    # is installed.
+    def _parse_attempt(self, request: ParseRequest) -> ParseResult:
+        if _faults._ACTIVE:
+            _faults.fire("translate")
+        return self.sql_parser.parse(request)
+
     def _translate_sql(
-        self, request: ParseRequest, turn: _TurnBuilder
+        self, request: ParseRequest, degraded: list[str]
     ) -> ParseResult:
         if self.resilience is None:
             return self.sql_parser.parse(request)
-
-        def attempt():
-            _faults.fire("translate")
-            return self.sql_parser.parse(request)
-
         try:
-            return self._guarded("parser.sql", "translate", attempt)
+            return self._guarded(
+                "parser.sql", "translate", (), self._parse_attempt, request
+            )
         except Exception:
             # ladder: LLM/neural parser -> keyword rule parser.  The
             # fallback is deterministic and model-free; if even it fails,
             # the stage reports "no translation" like any parser miss.
-            self._mark_degraded(turn, "translate:rule-fallback")
+            self._mark_degraded(degraded, "translate:rule-fallback")
             if self._sql_fallback is None:
                 from repro.parsers.rule import KeywordRuleParser
 
@@ -658,23 +725,27 @@ class Pipeline:
             except Exception:
                 return ParseResult(query=None, notes="fallback parser failed")
 
+    def _parse_vis_attempt(self, request: ParseRequest) -> str | None:
+        if not _faults._ACTIVE:
+            return self.vis_parser.parse_vis(request)
+        _faults.fire("translate")
+        out = self.vis_parser.parse_vis(request)
+        if out is not None:
+            out = _faults.corrupt_text("translate", out)
+        return out
+
     def _translate_vis(
-        self, request: ParseRequest, turn: _TurnBuilder
+        self, request: ParseRequest, degraded: list[str]
     ) -> str | None:
         if self.resilience is None:
             return self.vis_parser.parse_vis(request)
-
-        def attempt():
-            _faults.fire("translate")
-            out = self.vis_parser.parse_vis(request)
-            if out is not None:
-                out = _faults.corrupt_text("translate", out)
-            return out
-
         try:
-            return self._guarded("parser.vis", "translate", attempt)
+            return self._guarded(
+                "parser.vis", "translate", (), self._parse_vis_attempt,
+                request,
+            )
         except Exception:
-            self._mark_degraded(turn, "translate:rule-fallback")
+            self._mark_degraded(degraded, "translate:rule-fallback")
             if self._vis_fallback is None:
                 from repro.parsers.vis.rule import DataToneVisParser
 
@@ -684,33 +755,35 @@ class Pipeline:
             except Exception:
                 return None
 
+    @staticmethod
+    def _execute_attempt(query, db: Database) -> Result:
+        if _faults._ACTIVE:
+            if _vector._VECTOR_ENABLED:
+                _faults.fire("engine.vector")
+            _faults.fire("execute")
+        return execute(query, db)
+
     def _execute(
-        self, query, db: Database, turn: _TurnBuilder
+        self, query, db: Database, degraded: list[str]
     ) -> Result | None:
         if self.resilience is None:
             try:
                 return execute(query, db)
             except SQLError:
                 return None
-
-        def attempt():
-            if _vector._VECTOR_ENABLED:
-                _faults.fire("engine.vector")
-            _faults.fire("execute")
-            return execute(query, db)
-
         try:
             return self._guarded(
-                "executor", "execute", attempt, organic=(SQLError,)
+                "executor", "execute", (SQLError,),
+                self._execute_attempt, query, db,
             )
         except SQLError:
             # organic query failure: same outcome as the plain pipeline
             return None
         except Exception as exc:
-            return self._execute_ladder(query, db, turn, exc)
+            return self._execute_ladder(query, db, degraded, exc)
 
     def _execute_ladder(
-        self, query, db: Database, turn: _TurnBuilder, exc: Exception
+        self, query, db: Database, degraded: list[str], exc: Exception
     ) -> Result | None:
         """The execute degradation ladder, rung by rung.
 
@@ -724,7 +797,7 @@ class Pipeline:
         if isinstance(exc, InjectedFault) and exc.site == "engine.vector":
             previous = _vector.set_vector_enabled(False)
             try:
-                self._mark_degraded(turn, "execute:vector-off")
+                self._mark_degraded(degraded, "execute:vector-off")
                 try:
                     return execute(query, db)
                 except SQLError:
@@ -735,27 +808,31 @@ class Pipeline:
                 _vector.set_vector_enabled(previous)
         cached = _rescache.peek(query, db)
         if cached is not None:
-            self._mark_degraded(turn, "execute:cached-result")
+            self._mark_degraded(degraded, "execute:cached-result")
             return cached
-        self._mark_degraded(turn, "execute:failed")
+        self._mark_degraded(degraded, "execute:failed")
         return None
 
+    @staticmethod
+    def _render_attempt(vql: VQLQuery | str, db: Database) -> Chart:
+        if _faults._ACTIVE:
+            _faults.fire("render")
+        return render_chart(vql, db)
+
     def _render_chart(
-        self, vql: VQLQuery | str, db: Database, turn: _TurnBuilder
-    ) -> Chart | None:
+        self, vql: VQLQuery | str, db: Database, degraded: list[str]
+    ) -> Chart | Result | None:
+        """The chart, the underlying rows when the render ladder degraded
+        to data-only, or None when rendering failed."""
         if self.resilience is None:
             try:
                 return render_chart(vql, db)
             except ReproError:
                 return None
-
-        def attempt():
-            _faults.fire("render")
-            return render_chart(vql, db)
-
         try:
             return self._guarded(
-                "renderer", "render", attempt, organic=(ReproError,)
+                "renderer", "render", (ReproError,),
+                self._render_attempt, vql, db,
             )
         except ResilienceError:
             # ladder: chart -> data-only answer.  Execute the VQL's
@@ -765,11 +842,10 @@ class Pipeline:
                 program = parse_vql(vql) if isinstance(vql, str) else vql
                 result = execute(program.query, db)
             except ReproError:
-                self._mark_degraded(turn, "render:failed")
+                self._mark_degraded(degraded, "render:failed")
                 return None
-            self._mark_degraded(turn, "render:data-only")
-            turn.result = result
-            return None
+            self._mark_degraded(degraded, "render:data-only")
+            return result
         except ReproError:
             # organic render failure: same outcome as the plain pipeline
             return None

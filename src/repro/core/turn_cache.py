@@ -15,11 +15,13 @@ serve workers over a shared pipeline all go through it:
   (``repro.pipeline.turn_cache.misses``).
 
 Nothing is copied: a finished trace is frozen all the way down, so the
-leader keeps its own and the cache stores one ``cached=True`` view of
-it (same stages, result and chart) for every hit and follower.
-Degraded turns are neither stored nor shared — a fallback answer must
-not outlive the incident that caused it — and a leader that raises or
-degrades wakes its followers, each of which then computes its own turn.
+cache stores the leader's own trace as is.  The one ``cached=True``
+view of it (same stages, result and chart, no span) that every hit and
+follower shares is made on first reuse, so a turn nobody replays pays
+nothing for it.  Degraded turns are neither stored nor shared — a
+fallback answer must not outlive the incident that caused it — and a
+leader that raises or degrades wakes its followers, each of which then
+computes its own turn.
 """
 
 from __future__ import annotations
@@ -57,38 +59,46 @@ def turn_key(
     then no longer a pure function of its inputs), and when the history
     holds unhashable entries.  The database-state token carries every
     table's version stamp, so any mutation misses.
+
+    ``_faults.active()`` is asked first, on every turn: it reads
+    ``REPRO_CHAOS`` once, after which the pipeline's stages test the
+    fault flag directly.
     """
     if (
-        _obs_trace._ENABLED
-        or _faults.active()
-        or not _rescache.rescache_enabled()
+        _faults.active()
+        or _obs_trace._ENABLED
+        or not _rescache._ENABLED
     ):
         return None
-    key = (
-        question,
-        knowledge,
-        tuple(history or ()),
-        _rescache.database_state_token(db),
-    )
-    try:
-        hash(key)
-    except TypeError:
-        return None
-    return key
+    if history:
+        history = tuple(history)
+        try:
+            hash(history)
+        except TypeError:
+            return None
+    else:
+        history = ()
+    return (question, knowledge, history, _rescache.database_state_token(db))
 
 
 class _Flight:
-    """One in-flight leader; followers wait on ``latch``."""
+    """One computed turn: in flight until ``latch`` opens, then stored.
 
-    __slots__ = ("latch", "trace")
+    Followers wait on ``latch``; once it opens, ``trace`` is the
+    leader's trace (None when the leader raised or degraded), and
+    ``view`` the shared ``cached=True`` replay of it, made on first
+    reuse.
+    """
+
+    __slots__ = ("latch", "trace", "view")
 
     def __init__(self) -> None:
         # held from creation until the leader finishes (a bare Lock is a
         # cheaper latch than an Event, and every miss creates one)
         self.latch = threading.Lock()
         self.latch.acquire()
-        #: the leader's stored view, or None (raised or degraded leader)
         self.trace = None
+        self.view = None
 
 
 class TurnCache:
@@ -98,7 +108,7 @@ class TurnCache:
     maxsize = 128
 
     def __init__(self) -> None:
-        self._stored: "OrderedDict[tuple, object]" = OrderedDict()
+        self._stored: "OrderedDict[tuple, _Flight]" = OrderedDict()
         self._inflight: dict[tuple, _Flight] = {}
         self._lock = threading.Lock()
 
@@ -110,45 +120,72 @@ class TurnCache:
         with self._lock:
             self._stored.clear()
 
-    def get_or_compute(self, key: tuple | None, compute: Callable[[], object]):
-        """Replay, wait on a leader, or run *compute*; see module docstring.
+    def get_or_compute(
+        self, key: tuple | None, compute: Callable[..., object], *args
+    ):
+        """Replay, wait on a leader, or run ``compute(*args)``; see the
+        module docstring.
 
         A None *key* always runs *compute* and touches nothing.
         """
         if key is None:
-            return compute()
-        with self._lock:
+            return compute(*args)
+        # acquire/release rather than ``with`` on the two sections every
+        # turn takes: the context-manager protocol costs about as much as
+        # the lock itself
+        lock = self._lock
+        lock.acquire()
+        try:
             stored = self._stored.get(key)
             if stored is not None:
                 self._stored.move_to_end(key)
+                view = stored.view
+                if view is None:
+                    view = stored.view = _replay_view(stored.trace)
             else:
                 flight = self._inflight.get(key)
                 leader = flight is None
                 if leader:
                     flight = self._inflight[key] = _Flight()
+        finally:
+            lock.release()
         if stored is not None:
             _HITS.inc()
-            return stored
+            return view
         if not leader:
             _FOLLOWERS.inc()
             with flight.latch:
                 pass
             if flight.trace is None:
-                return compute()
-            return flight.trace
+                return compute(*args)
+            view = flight.view
+            if view is None:
+                with lock:
+                    view = flight.view
+                    if view is None:
+                        view = flight.view = _replay_view(flight.trace)
+            return view
         _MISSES.inc()
-        view = None
+        trace = None
         try:
-            trace = compute()
-            if not trace.degraded:
-                view = replace(trace, cached=True, span=None)
+            trace = compute(*args)
         finally:
-            with self._lock:
+            lock.acquire()
+            try:
                 del self._inflight[key]
-                if view is not None:
-                    self._stored[key] = view
-                    while len(self._stored) > self.maxsize:
-                        self._stored.popitem(last=False)
-            flight.trace = view
+                if trace is not None and not trace.degraded:
+                    flight.trace = trace
+                    stored = self._stored
+                    stored[key] = flight
+                    while len(stored) > self.maxsize:
+                        stored.popitem(last=False)
+            finally:
+                lock.release()
             flight.latch.release()
         return trace
+
+
+def _replay_view(trace):
+    """The shared replay of a stored leader trace: same stages, result
+    and chart, marked cached, without the leader's span."""
+    return replace(trace, cached=True, span=None)

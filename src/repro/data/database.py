@@ -31,6 +31,11 @@ class Table:
     schema: TableSchema
     rows: list[tuple[Value, ...]] = field(default_factory=list)
 
+    # class-level defaults, not dataclass fields: the generation and the
+    # row list the last token was taken from (see cache_token)
+    _version = 0
+    _token_rows = None
+
     @property
     def name(self) -> str:
         return self.schema.name
@@ -44,7 +49,7 @@ class Table:
         only grow and a derived structure built over ``rows[:n]`` can
         catch up by folding in ``rows[n:]``.
         """
-        return getattr(self, "_version", 0)
+        return self._version
 
     def cache_token(self) -> tuple[int, int]:
         """Stamp identifying this table's current contents:
@@ -69,15 +74,15 @@ class Table:
         thing it cannot see; row tuples are immutable by contract.
         """
         rows = self.rows
-        if getattr(self, "_token_rows", None) is not rows:
+        if self._token_rows is not rows:
             self._token_rows = rows
-            self._version = self.version + 1
-        return (self.version, len(rows))
+            self._version += 1
+        return (self._version, len(rows))
 
     def invalidate_caches(self) -> None:
         """Start a new generation: every derived structure — statistics,
         indexes and column batches — rebuilds from all rows on next use."""
-        self._version = self.version + 1
+        self._version += 1
 
     def column_index(self, name: str) -> int:
         lowered = name.lower()
@@ -102,7 +107,7 @@ class Table:
     def replace_rows(self, rows: list[tuple[Value, ...]]) -> None:
         """Swap in a whole new row list, starting a new generation."""
         self.rows = rows
-        self._version = self.version + 1
+        self._version += 1
 
     def copy(self) -> "Table":
         return Table(schema=self.schema, rows=list(self.rows))

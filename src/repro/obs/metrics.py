@@ -38,6 +38,7 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "Gauge",
     "Histogram",
+    "HistogramGroup",
     "MetricsRegistry",
     "get_registry",
 ]
@@ -64,8 +65,15 @@ class Counter:
         """Add *amount* (default 1) to the counter.  Thread-safe: the
         += is a read-modify-write, so concurrent workers would lose
         increments without the lock."""
-        with self._lock:
+        # acquire/release rather than ``with``: this runs several times
+        # per turn, and the context-manager protocol costs about as much
+        # again as the lock itself
+        lock = self._lock
+        lock.acquire()
+        try:
             self.value += amount
+        finally:
+            lock.release()
 
     def reset(self) -> None:
         with self._lock:
@@ -149,10 +157,14 @@ class Histogram:
         read-modify-writes and must also stay mutually consistent
         (``count`` equals the bucket sum) for snapshot readers."""
         index = bisect_left(self.boundaries, value)
-        with self._lock:
+        lock = self._lock  # acquire/release: see Counter.inc
+        lock.acquire()
+        try:
             self.bucket_counts[index] += 1
             self.count += 1
             self.total += value
+        finally:
+            lock.release()
 
     @property
     def mean(self) -> float:
@@ -180,6 +192,44 @@ class Histogram:
             "mean": round(total / count if count else 0.0, 9),
             "buckets": buckets,
         }
+
+
+class HistogramGroup:
+    """Histograms that receive their observations together, under one lock.
+
+    For instruments always fed as a batch — the pipeline's per-stage
+    latencies arrive once per computed turn — one lock round-trip per
+    batch replaces one per observation.  Every member histogram is
+    rebound to the group's lock, so its own ``observe``, ``snapshot``
+    and ``reset`` stay consistent with :meth:`observe_many`.  Build a
+    group at import time, before the histograms are in use, and put a
+    histogram in at most one group.
+    """
+
+    __slots__ = ("_by_name", "_lock")
+
+    def __init__(self, histograms: dict[str, Histogram]) -> None:
+        self._by_name = dict(histograms)
+        self._lock = threading.Lock()
+        for histogram in self._by_name.values():
+            histogram._lock = self._lock
+
+    def observe_many(self, observations) -> None:
+        """Record ``(key, value)`` pairs, each into the histogram under
+        *key*, holding the group's lock once."""
+        by_name = self._by_name
+        lock = self._lock  # acquire/release: see Counter.inc
+        lock.acquire()
+        try:
+            for key, value in observations:
+                histogram = by_name[key]
+                histogram.bucket_counts[
+                    bisect_left(histogram.boundaries, value)
+                ] += 1
+                histogram.count += 1
+                histogram.total += value
+        finally:
+            lock.release()
 
 
 class MetricsRegistry:

@@ -51,10 +51,15 @@ __all__ = [
 #: the per-iteration cost of deadline support is one integer truth test.
 _ACTIVE = 0
 
-#: Per-thread ambient state: ``open`` (int, scopes open on this thread),
-#: ``expires_at`` (float | None, the innermost effective expiry), and
-#: ``clock`` (the innermost scope's clock).
+#: Per-thread ambient state, one list per thread (see :func:`_state`):
+#: ``[open, expires_at, clock]`` — the scopes open on this thread, the
+#: innermost effective expiry (float | None) and the innermost scope's
+#: clock.  One thread-local lookup per operation, then list indexing:
+#: each attribute of a ``threading.local`` costs a per-thread dict
+#: lookup, and a push and pop touched seven of them.
 _local = threading.local()
+
+_OPEN, _EXPIRES_AT, _CLOCK = 0, 1, 2
 
 #: Sentinel marking "no enclosing scope" in a saved previous expiry.
 _NO_SCOPE = object()
@@ -131,6 +136,16 @@ class Deadline:
         return f"<Deadline remaining={self.remaining():.4f}s>"
 
 
+def _state() -> list:
+    """This thread's ``[open, expires_at, clock]`` list, created on first
+    use."""
+    try:
+        return _local.state
+    except AttributeError:
+        state = _local.state = [0, None, None]
+        return state
+
+
 def current_deadline() -> Deadline | None:
     """A snapshot of the innermost ambient deadline, or ``None``.
 
@@ -138,8 +153,9 @@ def current_deadline() -> Deadline | None:
     at the moment of the call — hold it, check it, but do not expect it
     to track scopes opened or closed afterwards.
     """
-    if getattr(_local, "open", 0):
-        return Deadline(_local.expires_at, _local.clock)
+    state = _state()
+    if state[_OPEN]:
+        return Deadline(state[_EXPIRES_AT], state[_CLOCK])
     return None
 
 
@@ -154,17 +170,21 @@ def push_budget(seconds: float, clock: Callable[[], float]):
     same lineage as any enclosing scope's (see the module docstring).
     """
     global _ACTIVE
-    open_count = getattr(_local, "open", 0)
+    try:
+        state = _local.state
+    except AttributeError:
+        state = _state()
+    open_count = state[_OPEN]
     expiry = clock() + seconds
     if open_count:
-        prev = _local.expires_at
+        prev = state[_EXPIRES_AT]
         if prev is not None and prev < expiry:
             expiry = prev
     else:
         prev = _NO_SCOPE
-    _local.open = open_count + 1
-    _local.expires_at = expiry
-    _local.clock = clock
+    state[_OPEN] = open_count + 1
+    state[_EXPIRES_AT] = expiry
+    state[_CLOCK] = clock
     _ACTIVE += 1
     return prev
 
@@ -175,11 +195,12 @@ def pop_budget(prev) -> None:
     *prev* is the token :func:`push_budget` returned for that scope.
     """
     global _ACTIVE
+    state = _local.state
     if prev is _NO_SCOPE:
-        _local.open = 0
+        state[_OPEN] = 0
     else:
-        _local.open -= 1
-        _local.expires_at = prev
+        state[_OPEN] -= 1
+        state[_EXPIRES_AT] = prev
     _ACTIVE -= 1
 
 
@@ -208,11 +229,12 @@ class deadline_scope:
 
     def __enter__(self) -> Deadline:
         global _ACTIVE
-        open_count = getattr(_local, "open", 0)
+        state = _state()
+        open_count = state[_OPEN]
         effective = self.deadline
         if open_count:
-            outer_expires = self._prev_expires = _local.expires_at
-            outer_clock = self._prev_clock = _local.clock
+            outer_expires = self._prev_expires = state[_EXPIRES_AT]
+            outer_clock = self._prev_clock = state[_CLOCK]
             if outer_expires is not None and (
                 effective.expires_at is None
                 or outer_expires < effective.expires_at
@@ -220,20 +242,21 @@ class deadline_scope:
                 effective = Deadline(outer_expires, outer_clock)
         else:
             self._prev_expires = _NO_SCOPE
-        _local.open = open_count + 1
-        _local.expires_at = effective.expires_at
-        _local.clock = effective.clock
+        state[_OPEN] = open_count + 1
+        state[_EXPIRES_AT] = effective.expires_at
+        state[_CLOCK] = effective.clock
         _ACTIVE += 1
         return effective
 
     def __exit__(self, exc_type, exc, tb) -> None:
         global _ACTIVE
+        state = _local.state
         if self._prev_expires is _NO_SCOPE:
-            _local.open = 0
+            state[_OPEN] = 0
         else:
-            _local.open -= 1
-            _local.expires_at = self._prev_expires
-            _local.clock = self._prev_clock
+            state[_OPEN] -= 1
+            state[_EXPIRES_AT] = self._prev_expires
+            state[_CLOCK] = self._prev_clock
         _ACTIVE -= 1
 
 
@@ -246,10 +269,14 @@ def checkpoint(what: str = "operation") -> None:
     """
     if not _ACTIVE:
         return
-    if not getattr(_local, "open", 0):
+    try:
+        state = _local.state
+    except AttributeError:  # no scope was ever opened on this thread
         return
-    expires_at = _local.expires_at
-    if expires_at is not None and _local.clock() >= expires_at:
+    if not state[_OPEN]:
+        return
+    expires_at = state[_EXPIRES_AT]
+    if expires_at is not None and state[_CLOCK]() >= expires_at:
         raise DeadlineExceeded(f"deadline exceeded during {what}")
 
 
@@ -272,12 +299,16 @@ def guard_rows(rows: Iterable, what: str = "row scan") -> Iterable:
     """
     if not _ACTIVE:
         return rows
-    if not getattr(_local, "open", 0):
+    try:
+        state = _local.state
+    except AttributeError:  # no scope was ever opened on this thread
         return rows
-    expires_at = _local.expires_at
+    if not state[_OPEN]:
+        return rows
+    expires_at = state[_EXPIRES_AT]
     if expires_at is None:
         return rows
-    clock = _local.clock
+    clock = state[_CLOCK]
     if clock() >= expires_at:
         raise DeadlineExceeded(f"deadline exceeded during {what}")
     try:

@@ -220,14 +220,14 @@ def database_state_token(db: Database) -> tuple:
 
     Used by the pipeline turn cache (:mod:`repro.core.turn_cache`): any
     mutation of any table (or swapping in a different database object)
-    changes the token.
+    changes the token.  Flat: the database's identity token, then each
+    table's name, generation and length.
     """
-    return (
-        _db_token(db),
-        tuple(
-            (name,) + table.cache_token() for name, table in db.tables.items()
-        ),
-    )
+    token = [_db_token(db)]
+    for name, table in db.tables.items():
+        token.append(name)
+        token.extend(table.cache_token())
+    return tuple(token)
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ never results.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from math import isnan
 from dataclasses import dataclass, field
 
 from repro.data.database import Table
@@ -173,8 +174,79 @@ class TableStats:
         return stats
 
 
+#: the value types whose sort key is ``(1, float(value))``
+_NUMBER_TYPES = frozenset({int, float, bool})
+_NONE_TYPE = type(None)
+
+
 def collect_column_stats(values: list[Value]) -> ColumnStats:
-    """Build :class:`ColumnStats` from a column's values."""
+    """Build :class:`ColumnStats` from a column's values.
+
+    The executor's total order (:func:`~repro.data.values.sort_key`)
+    puts every number before every text value, so numbers are sorted as
+    plain floats and text as plain strings, and sort-key tuples are
+    formed only for the bounds.  The result equals
+    :func:`_collect_by_sort_key`'s, which sorts one key tuple per value
+    and still handles NaN and any value outside the library's value
+    domain (``None``, ``bool``, ``int``, ``float``, ``str``).
+    """
+    kinds = set(map(type, values))
+    if _NONE_TYPE in kinds:
+        kinds.discard(_NONE_TYPE)
+        non_null = [v for v in values if v is not None]
+    else:
+        non_null = values
+    if kinds <= _NUMBER_TYPES:
+        numbers = sorted(map(float, non_null))
+        texts: list[str] = []
+    elif kinds == {str}:
+        numbers = []
+        texts = sorted(non_null)
+    elif kinds <= _NUMBER_TYPES | {str}:
+        numbers = sorted([float(v) for v in non_null if type(v) is not str])
+        texts = sorted([v for v in non_null if type(v) is str])
+    else:
+        return _collect_by_sort_key(values)
+    if float in kinds and any(map(isnan, numbers)):
+        return _collect_by_sort_key(values)
+    count = len(values)
+    n = len(non_null)
+    if not n:
+        return ColumnStats(count=count, nulls=count, ndv=0,
+                           min_key=None, max_key=None)
+    split = len(numbers)
+    made: dict[int, _SortKey] = {}
+
+    def key(index: int) -> _SortKey:
+        # one tuple per index, shared by the bounds and min/max that
+        # land on it, as the reference's sorted key list shares them
+        bound = made.get(index)
+        if bound is None:
+            if index < split:
+                bound = (1, numbers[index])
+            else:
+                bound = (2, texts[index - split])
+            made[index] = bound
+        return bound
+
+    ndv = len(set(numbers)) + len(set(texts))
+    buckets = min(HISTOGRAM_BUCKETS, max(1, ndv))
+    bounds = tuple(
+        key(min(n - 1, (i * n) // buckets)) for i in range(buckets)
+    ) + (key(n - 1),)
+    return ColumnStats(
+        count=count,
+        nulls=count - n,
+        ndv=ndv,
+        min_key=key(0),
+        max_key=key(n - 1),
+        bounds=bounds,
+    )
+
+
+def _collect_by_sort_key(values: list[Value]) -> ColumnStats:
+    """:func:`collect_column_stats` by sorting one sort key per value: the
+    reference the fast path is tested against, and its fallback."""
     count = len(values)
     non_null = [v for v in values if v is not None]
     nulls = count - len(non_null)

@@ -69,7 +69,7 @@ def _select(select: Select) -> str:
     parts = ["SELECT"]
     if select.distinct:
         parts.append("DISTINCT")
-    parts.append(", ".join(_select_item(i) for i in select.items))
+    parts.append(", ".join([_select_item(i) for i in select.items]))
     if select.from_ is not None:
         parts.append("FROM")
         parts.append(_from(select.from_))
@@ -78,13 +78,13 @@ def _select(select: Select) -> str:
         parts.append(_expr(select.where, 0))
     if select.group_by:
         parts.append("GROUP BY")
-        parts.append(", ".join(_expr(e, 0) for e in select.group_by))
+        parts.append(", ".join([_expr(e, 0) for e in select.group_by]))
     if select.having is not None:
         parts.append("HAVING")
         parts.append(_expr(select.having, 0))
     if select.order_by:
         parts.append("ORDER BY")
-        parts.append(", ".join(_order_item(o) for o in select.order_by))
+        parts.append(", ".join([_order_item(o) for o in select.order_by]))
     if select.limit is not None:
         parts.append(f"LIMIT {select.limit}")
     return " ".join(parts)
@@ -126,7 +126,7 @@ def _expr(expr: Expr, parent_prec: int) -> str:
     if isinstance(expr, Star):
         return f"{expr.table}.*" if expr.table else "*"
     if isinstance(expr, FuncCall):
-        inner = ", ".join(_expr(a, 0) for a in expr.args)
+        inner = ", ".join([_expr(a, 0) for a in expr.args])
         if expr.distinct:
             inner = f"DISTINCT {inner}"
         return f"{expr.name.upper()}({inner})"
@@ -155,7 +155,7 @@ def _expr(expr: Expr, parent_prec: int) -> str:
         return f"({text})" if parent_prec > 3 else text
     if isinstance(expr, InList):
         middle = "NOT IN" if expr.negated else "IN"
-        items = ", ".join(_expr(i, 0) for i in expr.items)
+        items = ", ".join([_expr(i, 0) for i in expr.items])
         text = f"{_expr(expr.expr, 5)} {middle} ({items})"
         return f"({text})" if parent_prec > 3 else text
     if isinstance(expr, InSubquery):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from time import perf_counter
+
 from repro.data.database import Database
 from repro.errors import ReproError, SQLError
 from repro.parsers.base import ParseRequest, Parser
@@ -304,10 +306,11 @@ class PipelineSystem(NLISystem):
         knowledge: str | None = None,
         history: list | None = None,
     ) -> SystemResponse:
-        return self._timed(
-            question,
-            lambda: self._answer(question, db, knowledge, history or []),
-        )
+        # NLISystem._timed inlined: this is every served turn's entry
+        start = perf_counter()
+        response = self._answer(question, db, knowledge, history or [])
+        response.latency_seconds = perf_counter() - start
+        return response
 
     def _answer(
         self,
@@ -328,10 +331,9 @@ class PipelineSystem(NLISystem):
                 degraded=trace.degraded,
             )
         if trace.result is not None and trace.error is None:
-            is_vis_turn = trace.chart is None and any(
-                r.stage == "preprocess" and "visualization" in r.output
-                for r in trace.stages
-            )
+            # a chart turn the render ladder degraded to data-only still
+            # carries its VQL, not SQL
+            is_vis_turn = trace.vis_intent
             return SystemResponse(
                 question=question,
                 kind="data",

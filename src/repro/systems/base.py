@@ -61,7 +61,12 @@ _VIS_CUES = (
 def wants_visualization(question: str) -> bool:
     """Classify a request as visualization vs. data query by surface cues."""
     lowered = question.lower()
-    return any(cue in lowered for cue in _VIS_CUES)
+    # a plain loop: no generator frame, and ten substring scans beat one
+    # alternation regex over the same cues
+    for cue in _VIS_CUES:
+        if cue in lowered:
+            return True
+    return False
 
 
 class NLISystem(abc.ABC):

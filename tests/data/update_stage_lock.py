@@ -1,0 +1,94 @@
+"""Regenerate ``stage_lock.json``: a digest of what every pipeline stage says.
+
+The lock covers every distinct question of ``spider_like``,
+``wikisql_like`` and ``nvbench_like`` (scale 0.01, seed 11), each run
+once through a default :class:`~repro.systems.PipelineSystem`'s
+pipeline, so chart, data and failed turns are all in it.  Each computed
+turn contributes its ``(stage, output)`` sequence plus ``error``,
+``degraded`` and ``functional_expression``; stage timings are left out.
+The file holds one sha256 over all turns and a short digest per turn, so
+a mismatch can name the first turn that changed.
+
+Run from the repository root::
+
+    python tests/data/update_stage_lock.py
+
+then commit the file.  A change that moves the digest must say which
+turns changed and why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+LOCK_PATH = pathlib.Path(__file__).resolve().with_name("stage_lock.json")
+
+#: (corpus, scale) pairs and the seed the lock is built from
+CORPORA = (("spider_like", 0.01), ("wikisql_like", 0.01), ("nvbench_like", 0.01))
+SEED = 11
+
+
+def turn_records() -> list[tuple[str, list]]:
+    """``(label, record)`` per distinct question, in corpus order."""
+    from repro.datasets import build_dataset
+    from repro.sql.rescache import clear_result_cache
+    from repro.systems import PipelineSystem
+
+    clear_result_cache()
+    system = PipelineSystem()
+    out: list[tuple[str, list]] = []
+    seen: set = set()
+    for name, scale in CORPORA:
+        dataset = build_dataset(name, scale=scale, seed=SEED)
+        for example in dataset.examples:
+            key = (name, example.db_id, example.question, example.knowledge)
+            if key in seen:
+                continue
+            seen.add(key)
+            trace = system.pipeline.run(
+                example.question,
+                dataset.databases[example.db_id],
+                knowledge=example.knowledge,
+            )
+            record = [
+                [[r.stage, r.output] for r in trace.stages],
+                trace.error,
+                list(trace.degraded),
+                trace.functional_expression,
+            ]
+            out.append((f"{name}/{example.db_id}: {example.question}", record))
+    return out
+
+
+def record_digest(record: list) -> str:
+    return hashlib.sha256(
+        json.dumps(record, ensure_ascii=False).encode()
+    ).hexdigest()[:16]
+
+
+def build_lock() -> dict:
+    turns = [record_digest(record) for _, record in turn_records()]
+    total = hashlib.sha256("\n".join(turns).encode()).hexdigest()
+    return {
+        "corpora": [list(c) for c in CORPORA],
+        "seed": SEED,
+        "turn_count": len(turns),
+        "sha256": total,
+        "turns": turns,
+    }
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    lock = build_lock()
+    LOCK_PATH.write_text(json.dumps(lock, indent=0) + "\n")
+    print(f"{lock['turn_count']} turns, sha256 {lock['sha256']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

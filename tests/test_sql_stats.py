@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.data.database import Database, Table
 from repro.data.schema import Column, ColumnType, Schema, TableSchema
@@ -110,6 +111,53 @@ class TestColumnStats:
         single = stats.eq_selectivity(1)
         assert stats.in_selectivity((1, 1, None)) == pytest.approx(single)
         assert stats.in_selectivity(tuple(range(100))) <= 1.0
+
+
+#: column values drawn to stress the split numbers/text sort: NULLs,
+#: bools, ints equal to floats (1 == 1.0 == True), signed zeros,
+#: infinities and duplicates
+_COLUMN_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-5, max_value=5),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.0, float("inf"), -float("inf")]),
+    st.floats(allow_nan=False, width=32),
+    st.integers(min_value=-(2 ** 70), max_value=2 ** 70),
+    st.sampled_from(["", "a", "B", "b", "1", "1.0", "None", "zz"]),
+    st.text(max_size=3),
+)
+
+
+class TestCollectColumnStatsReference:
+    """The split sort equals the one-key-per-value reference exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_COLUMN_VALUES, max_size=60))
+    def test_matches_reference(self, values):
+        fast = collect_column_stats(values)
+        # repr as well as ==: (1, 1) == (1, 1.0), but a key must hold
+        # the float the reference's sort_key produces
+        assert fast == sqlstats._collect_by_sort_key(values)
+        assert repr(fast) == repr(sqlstats._collect_by_sort_key(values))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.0, float("nan"), None, 2],
+            [1, "a", float("nan")],
+            [1, (2,), None],
+            [True, 1, 1.0, b"x"],
+        ],
+    )
+    def test_nan_and_foreign_values_use_the_reference(self, values):
+        assert repr(collect_column_stats(values)) == repr(
+            sqlstats._collect_by_sort_key(values)
+        )
+
+    def test_leaves_its_input_unchanged(self):
+        values = [3, None, "b", 1.5, "a", True]
+        collect_column_stats(values)
+        assert values == [3, None, "b", 1.5, "a", True]
 
 
 class TestStatsCache:
