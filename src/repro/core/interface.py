@@ -35,13 +35,15 @@ class Answer:
 
     @property
     def sql(self) -> str | None:
-        if self.trace.chart is not None:
+        # a chart turn carries VQL, also when its chart failed to render
+        # or the render ladder degraded it to data-only
+        if self.trace.vis_intent:
             return None
         return self.trace.functional_expression
 
     @property
     def vql(self) -> str | None:
-        if self.trace.chart is None:
+        if not self.trace.vis_intent:
             return None
         return self.trace.functional_expression
 

@@ -20,18 +20,29 @@ Capability knobs model what separates the approach stages:
 
 The simulated LLM (:mod:`repro.llm`) uses this parser, at full capability,
 as its internal solver — see DESIGN.md's substitution table.
+
+Each parser instance memoizes its parses (see DESIGN.md §"Parse memo").
+A translation reads database rows in one place only, value linking
+(:func:`_restore_value_case`), so an entry records every such lookup
+with its answer, and a repeated question is answered from the memo when
+every recorded lookup still gives the same answer against the request's
+database.  A write to a table therefore costs a repeated question only
+its lookups, not a reparse.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass, replace as dc_replace
 
 from repro.data.database import Database
+from repro.data.identity import identity_token
 from repro.data.schema import Column, ColumnType, Schema, TableSchema
 from repro.data.values import Value
 from repro.errors import NLParseError
 from repro.nlg.translate import reverse_translate
+from repro.obs import metrics as _obs_metrics
 from repro.parsers.base import (
     ParseRequest,
     ParseResult,
@@ -160,6 +171,27 @@ _KNOWLEDGE_RE = re.compile(
     r"^(?P<alias>.+?)\s+are\s+(?P<table>.+?)\s+whose\s+(?P<cond>.+?)\.?$"
 )
 
+#: bound on each parser's memoized parses, and on its linkers; the
+#: oldest entry goes first
+_MEMO_SIZE = 1024
+
+_registry = _obs_metrics.get_registry()
+_MEMO_HITS = _registry.counter("repro.parsers.memo.hits")
+_MEMO_MISSES = _registry.counter("repro.parsers.memo.misses")
+#: the key was memoized but a recorded lookup now answers differently
+_MEMO_STALE = _registry.counter("repro.parsers.memo.stale")
+
+
+class _LookupLog(threading.local):
+    """The database lookups of the memoizing parse running on this
+    thread, as ``(table, column, literal, answer)`` tuples; None when no
+    parse is recording."""
+
+    lookups: list | None = None
+
+
+_LOG = _LookupLog()
+
 
 @dataclass
 class _Clauses:
@@ -203,15 +235,61 @@ class GrammarSemanticParser(Parser):
         self.use_knowledge = use_knowledge
         self.use_history = use_history
         self.guess_unlinked = guess_unlinked
-        self._linkers: dict[str, SchemaLinker] = {}
+        # both read without the lock and written under it (``_store``)
+        #: schema identity token -> its linker
+        self._linkers: dict[object, SchemaLinker] = {}
+        #: memo key -> (query or None, failure notes, recorded lookups)
+        self._memo: dict[tuple, tuple] = {}
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def parse(self, request: ParseRequest) -> ParseResult:
+        db = request.db
+        history = request.history
+        # everything the parse reads apart from database rows: what the
+        # configuration ignores (knowledge, history) stays out of the key
+        key = (
+            request.question,
+            identity_token(request.schema),
+            request.knowledge if self.use_knowledge else None,
+            tuple(history) if self.use_history and history else (),
+            request.language,
+            db is not None,
+        )
         try:
-            query = self._parse(request)
+            entry = self._memo.get(key)
+        except TypeError:  # unhashable history: parse without the memo
+            return _parse_result(*self._parse_recorded(request)[:2])
+        if entry is None:
+            _MEMO_MISSES.inc()
+        elif _lookups_hold(entry[2], db):
+            _MEMO_HITS.inc()
+            return _parse_result(entry[0], entry[1])
+        else:
+            _MEMO_STALE.inc()
+        entry = self._parse_recorded(request)
+        self._store(self._memo, key, entry)
+        return _parse_result(entry[0], entry[1])
+
+    def _parse_recorded(self, request: ParseRequest) -> tuple:
+        """Parse *request*: ``(query or None, notes, lookups)``."""
+        lookups: list = []
+        outer, _LOG.lookups = _LOG.lookups, lookups
+        try:
+            return self._parse(request), "", tuple(lookups)
         except NLParseError as exc:
-            return ParseResult(query=None, notes=str(exc))
-        return ParseResult(query=query, candidates=[query], confidence=0.9)
+            return None, str(exc), tuple(lookups)
+        finally:
+            _LOG.lookups = outer
+
+    def _store(self, cache: dict, key, value) -> None:
+        """Insert into the memo or the linkers, dropping the oldest entry
+        past the bound; readers never take the lock, so only writers
+        must serialize."""
+        with self._lock:
+            cache[key] = value
+            if len(cache) > _MEMO_SIZE:
+                del cache[next(iter(cache))]
 
     # ------------------------------------------------------------------
     def _parse(self, request: ParseRequest) -> Query:
@@ -248,14 +326,16 @@ class GrammarSemanticParser(Parser):
         return query
 
     def _linker_for(self, schema: Schema) -> SchemaLinker:
-        key = schema.db_id
-        if key not in self._linkers:
-            self._linkers[key] = SchemaLinker(
+        key = identity_token(schema)
+        linker = self._linkers.get(key)
+        if linker is None:
+            linker = SchemaLinker(
                 schema,
                 world_knowledge=self.world_knowledge,
                 fuzzy=self.fuzzy,
             )
-        return self._linkers[key]
+            self._store(self._linkers, key, linker)
+        return linker
 
     # ------------------------------------------------------------------
     # clause extraction
@@ -732,9 +812,14 @@ class GrammarSemanticParser(Parser):
             )
             value = _parse_value(val_part)
             if isinstance(value, str) and request.db is not None:
-                value = _restore_value_case(
-                    value, ref, table, request.db
+                table_name = ref.table or table.name
+                restored = _restore_value_case(
+                    value, table_name, ref.column, request.db
                 )
+                log = _LOG.lookups
+                if log is not None:
+                    log.append((table_name, ref.column, value, restored))
+                value = restored
             return (BinaryOp(op=op, left=ref, right=Literal(value)), join_table)
 
         raise NLParseError(f"cannot parse condition {text!r}")
@@ -1092,14 +1177,30 @@ def _parse_value(text: str) -> Value:
     return text
 
 
+def _parse_result(query: Query | None, notes: str) -> ParseResult:
+    if query is None:
+        return ParseResult(query=None, notes=notes)
+    return ParseResult(query=query, candidates=[query], confidence=0.9)
+
+
+def _lookups_hold(lookups: tuple, db: Database | None) -> bool:
+    """Whether every recorded lookup answers the same against *db*."""
+    for table_name, column, value, answer in lookups:
+        if _restore_value_case(value, table_name, column, db) != answer:
+            return False
+    return True
+
+
 def _restore_value_case(
-    value: str, ref: ColumnRef, table: TableSchema, db: Database
+    value: str, table_name: str, column: str, db: Database
 ) -> str:
-    """Recover a stored value's canonical casing from database content."""
-    table_name = ref.table or table.name
+    """Recover a stored value's canonical casing from database content:
+    the first value of *table_name*.*column* equal to *value* ignoring
+    case, else *value*.  This is the parse's only read of database rows;
+    the memo re-runs it to validate an entry."""
     try:
         contents = db.table(table_name)
-        stored = contents.column_values(ref.column)
+        stored = contents.column_values(column)
     except Exception:
         return value
     lowered = value.lower()

@@ -77,7 +77,6 @@ from __future__ import annotations
 import heapq
 import os
 import threading
-import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from itertools import count
@@ -85,6 +84,7 @@ from operator import itemgetter
 from typing import Any, Callable
 
 from repro.data.database import Database
+from repro.data.identity import identity_token
 from repro.data.schema import Schema
 from repro.data.values import Value, compare_values, sort_key
 from repro.errors import AnalysisError, ExecutionError
@@ -2937,9 +2937,6 @@ _PARSE_CACHE_MAX = _env_size("REPRO_SQL_PARSE_CACHE_SIZE", 2048)
 _parse_hits = 0
 _parse_misses = 0
 
-_schema_tokens: dict[int, int] = {}
-_token_counter = count(1)
-
 #: Guards the plan/parse LRUs (and their counters): the parallel
 #: evaluation driver's thread-pool fallback and the serving workers share
 #: this module, and an unguarded ``move_to_end``/``popitem`` pair racing a
@@ -2948,24 +2945,6 @@ _token_counter = count(1)
 #: waits behind another thread's miss.  Uncontended acquisition is tens of
 #: nanoseconds — noise next to even a cached-plan execution.
 _CACHE_LOCK = threading.RLock()
-
-
-def _schema_token(schema: Schema):
-    """A stable cache token for a schema *object* (id-keyed, not by value).
-
-    ``weakref.finalize`` retires the token with the schema so a recycled
-    ``id()`` can never alias a different schema to a stale plan.
-    """
-    key = id(schema)
-    token = _schema_tokens.get(key)
-    if token is None:
-        try:
-            weakref.finalize(schema, _schema_tokens.pop, key, None)
-        except TypeError:  # pragma: no cover - Schema is weakref-able
-            return schema  # fall back to by-value keying
-        token = next(_token_counter)
-        _schema_tokens[key] = token
-    return token
 
 
 def plan_for(
@@ -2986,7 +2965,7 @@ def plan_for(
     global _plan_hits, _plan_misses
     optimize, vectorize = _OPTIMIZER_ENABLED, _vector.vector_enabled()
     with _CACHE_LOCK:
-        key = (query, _schema_token(schema), optimize, vectorize)
+        key = (query, identity_token(schema), optimize, vectorize)
         plan = _PLAN_CACHE.get(key)
         if plan is not None:
             _PLAN_CACHE.move_to_end(key)

@@ -48,12 +48,11 @@ from __future__ import annotations
 
 import os
 import threading
-import weakref
 from collections import OrderedDict
-from itertools import count
 from typing import Union
 
 from repro.data.database import Database
+from repro.data.identity import identity_token
 from repro.errors import SQLError
 from repro.obs import metrics as _obs_metrics
 from repro.sql import plan as _plan
@@ -101,33 +100,6 @@ _PEEK_HITS = _registry.counter("repro.sql.rescache.peek.hits")
 _PEEK_MISSES = _registry.counter("repro.sql.rescache.peek.misses")
 _registry.gauge("repro.sql.rescache.bytes", fn=lambda: _BYTES)
 _registry.gauge("repro.sql.rescache.entries", fn=lambda: len(_CACHE))
-
-
-# ----------------------------------------------------------------------
-# identity tokens (same weakref.finalize pattern as plan._schema_token:
-# a recycled id() must never alias a dead object's token)
-# ----------------------------------------------------------------------
-_db_tokens: dict[int, int] = {}
-_token_counter = count(1)
-
-
-def _db_token(db: Database):
-    """A stable identity token for a :class:`Database` *object*.
-
-    Two databases with coincidentally equal table versions and row counts
-    (e.g. fuzzed test-suite variants) must never share entries; identity
-    is part of every key.
-    """
-    key = id(db)
-    token = _db_tokens.get(key)
-    if token is None:
-        try:
-            weakref.finalize(db, _db_tokens.pop, key, None)
-        except TypeError:  # pragma: no cover - Database is weakref-able
-            return db
-        token = next(_token_counter)
-        _db_tokens[key] = token
-    return token
 
 
 #: query AST (by value) -> (interned AST, referenced table names).  The
@@ -223,7 +195,7 @@ def database_state_token(db: Database) -> tuple:
     changes the token.  Flat: the database's identity token, then each
     table's name, generation and length.
     """
-    token = [_db_token(db)]
+    token = [identity_token(db)]
     for name, table in db.tables.items():
         token.append(name)
         token.extend(table.cache_token())
@@ -248,7 +220,7 @@ def _result_key(query: Query, db: Database) -> tuple | None:
     # functions are pure attribute returns
     return (
         interned,
-        _db_token(db),
+        identity_token(db),
         tuple(tokens),
         _plan._OPTIMIZER_ENABLED,
         _vector._VECTOR_ENABLED,

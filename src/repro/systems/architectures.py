@@ -330,15 +330,17 @@ class PipelineSystem(NLISystem):
                 chart=trace.chart,
                 degraded=trace.degraded,
             )
+        # a chart turn that failed, or that the render ladder degraded to
+        # data-only, still carries its VQL, not SQL
+        is_vis_turn = trace.vis_intent
+        sql = None if is_vis_turn else trace.functional_expression
+        vql = trace.functional_expression if is_vis_turn else None
         if trace.result is not None and trace.error is None:
-            # a chart turn the render ladder degraded to data-only still
-            # carries its VQL, not SQL
-            is_vis_turn = trace.vis_intent
             return SystemResponse(
                 question=question,
                 kind="data",
-                sql=None if is_vis_turn else trace.functional_expression,
-                vql=trace.functional_expression if is_vis_turn else None,
+                sql=sql,
+                vql=vql,
                 query=trace.query,
                 result=trace.result,
                 degraded=trace.degraded,
@@ -346,7 +348,8 @@ class PipelineSystem(NLISystem):
         return SystemResponse(
             question=question,
             kind="error",
-            sql=trace.functional_expression,
+            sql=sql,
+            vql=vql,
             query=trace.query,
             message=trace.error or "the pipeline produced no answer",
             degraded=trace.degraded,

@@ -15,6 +15,14 @@ Run from the repository root::
 
 then commit the file.  A change that moves the digest must say which
 turns changed and why.
+
+``--warm`` checks instead of writing: it runs every turn once, clears
+the pipeline's turn cache, replays every turn a second time through the
+same system (so each SQL turn is translated from the parser's memo) and
+exits 1, naming the first turn that differs, unless the replay's digest
+equals the checked-in one::
+
+    python tests/data/update_stage_lock.py --warm
 """
 
 from __future__ import annotations
@@ -32,15 +40,20 @@ CORPORA = (("spider_like", 0.01), ("wikisql_like", 0.01), ("nvbench_like", 0.01)
 SEED = 11
 
 
-def turn_records() -> list[tuple[str, list]]:
-    """``(label, record)`` per distinct question, in corpus order."""
+def turn_records(warm: bool = False) -> list[tuple[str, list]]:
+    """``(label, record)`` per distinct question, in corpus order.
+
+    With *warm*, every turn runs twice through the same system, the
+    turn cache cleared in between, and the second run's records are
+    returned.
+    """
     from repro.datasets import build_dataset
     from repro.sql.rescache import clear_result_cache
     from repro.systems import PipelineSystem
 
     clear_result_cache()
     system = PipelineSystem()
-    out: list[tuple[str, list]] = []
+    turns: list[tuple[str, object, object, str | None]] = []
     seen: set = set()
     for name, scale in CORPORA:
         dataset = build_dataset(name, scale=scale, seed=SEED)
@@ -49,18 +62,26 @@ def turn_records() -> list[tuple[str, list]]:
             if key in seen:
                 continue
             seen.add(key)
-            trace = system.pipeline.run(
+            turns.append((
+                f"{name}/{example.db_id}: {example.question}",
                 example.question,
                 dataset.databases[example.db_id],
-                knowledge=example.knowledge,
-            )
-            record = [
-                [[r.stage, r.output] for r in trace.stages],
-                trace.error,
-                list(trace.degraded),
-                trace.functional_expression,
-            ]
-            out.append((f"{name}/{example.db_id}: {example.question}", record))
+                example.knowledge,
+            ))
+    if warm:
+        for _, question, db, knowledge in turns:
+            system.pipeline.run(question, db, knowledge=knowledge)
+        system.pipeline.turn_cache.clear()
+    out: list[tuple[str, list]] = []
+    for label, question, db, knowledge in turns:
+        trace = system.pipeline.run(question, db, knowledge=knowledge)
+        record = [
+            [[r.stage, r.output] for r in trace.stages],
+            trace.error,
+            list(trace.degraded),
+            trace.functional_expression,
+        ]
+        out.append((label, record))
     return out
 
 
@@ -70,8 +91,8 @@ def record_digest(record: list) -> str:
     ).hexdigest()[:16]
 
 
-def build_lock() -> dict:
-    turns = [record_digest(record) for _, record in turn_records()]
+def build_lock(records: list[tuple[str, list]]) -> dict:
+    turns = [record_digest(record) for _, record in records]
     total = hashlib.sha256("\n".join(turns).encode()).hexdigest()
     return {
         "corpora": [list(c) for c in CORPORA],
@@ -82,13 +103,35 @@ def build_lock() -> dict:
     }
 
 
-def main() -> int:
+def check_warm() -> int:
+    """Replay warm and compare with the checked-in lock; 0 when equal."""
+    records = turn_records(warm=True)
+    lock = build_lock(records)
+    expected = json.loads(LOCK_PATH.read_text())
+    print(f"warm replay: {lock['turn_count']} turns, sha256 {lock['sha256']}")
+    if lock["sha256"] == expected["sha256"]:
+        return 0
+    for (label, _), got, want in zip(records, lock["turns"], expected["turns"]):
+        if got != want:
+            print(f"first differing turn: {label}")
+            break
+    else:
+        print(f"turn count {lock['turn_count']} != {expected['turn_count']}")
+    return 1
+
+
+def main(argv: list[str]) -> int:
     sys.path.insert(0, str(ROOT / "src"))
-    lock = build_lock()
+    if argv == ["--warm"]:
+        return check_warm()
+    if argv:
+        print(f"usage: {pathlib.Path(__file__).name} [--warm]", file=sys.stderr)
+        return 2
+    lock = build_lock(turn_records())
     LOCK_PATH.write_text(json.dumps(lock, indent=0) + "\n")
     print(f"{lock['turn_count']} turns, sha256 {lock['sha256']}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

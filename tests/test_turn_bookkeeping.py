@@ -22,8 +22,10 @@ import threading
 
 import pytest
 
+from repro.core.interface import NaturalLanguageInterface
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.parsers.vis.base import VisParser
 from repro.resilience import clear_faults, install_faults
 from repro.systems import PipelineSystem
 from tests.data.update_stage_lock import (
@@ -235,3 +237,43 @@ def test_degraded_chart_turn_still_reports_vql(shop_db):
     assert response.vql == trace.functional_expression
     assert response.vql.lower().startswith("visualize")
     assert trace.vis_intent and trace.chart is None
+
+
+#: a chart program the renderer rejects (a bar chart needs two columns)
+BAD_VQL = "VISUALIZE BAR SELECT name FROM products"
+
+
+class _FixedVisParser(VisParser):
+    name = "fixed vis parser"
+
+    def parse_vis(self, request):
+        return BAD_VQL
+
+
+def test_failed_chart_turn_reports_vql_not_sql(shop_db):
+    response = PipelineSystem(vis_parser=_FixedVisParser()).answer(
+        CHART_Q, shop_db
+    )
+    assert response.kind == "error"
+    assert response.message == "chart rendering failed"
+    assert response.sql is None and response.vql == BAD_VQL
+
+
+def test_answer_splits_sql_and_vql_by_chart_intent(shop_db):
+    nli = NaturalLanguageInterface(shop_db, resilience=True)
+    failed = nli.ask("plot a bar chart of price by name for products")
+    assert failed.trace.error == "chart rendering failed"
+    assert failed.sql is None
+    assert failed.vql.startswith("VISUALIZE BAR")
+
+    install_faults("render:error", seed=1)
+    try:
+        degraded = nli.ask(CHART_Q)
+    finally:
+        clear_faults()
+    assert degraded.degraded == ("render:data-only",) and degraded.rows
+    assert degraded.sql is None
+    assert degraded.vql == degraded.trace.functional_expression
+
+    data = nli.ask(DATA_Q)
+    assert data.vql is None and data.sql.startswith("SELECT")
