@@ -11,10 +11,14 @@ optimizer, so the delta isolates the columnar kernels — on:
    (columnar build/probe vs row hash join);
 3. ``group_aggregate`` — grouped COUNT/AVG over a large table
    (dict-of-buckets grouping + column aggregation);
-4. ``order_by_limit`` — top-k with statically resolved sort keys.
+4. ``order_by_limit`` — top-k with statically resolved sort keys;
+5. ``group_having_minmax`` — grouped MIN/MAX over number and text
+   columns behind a HAVING filter, ordered by an aggregate (the typed
+   MIN/MAX folds and ORDER BY of :mod:`repro.data.values`).
 
 Every workload first asserts the vectorized result is identical to
-``execute_reference``.  A second section times the parallel evaluation
+``execute_reference``, and each grouped one that its aggregate operator
+ran vectorized.  A second section times the parallel evaluation
 driver (:mod:`repro.eval.parallel`) on the test-suite metric at 1/2/4/8
 workers — the recorded ``cpus`` field says how many cores the numbers
 were collected on, since worker scaling is physically bounded by it.
@@ -140,6 +144,12 @@ def _workloads(db: Database) -> list[tuple[str, str]]:
             "SELECT name, score FROM customers "
             "WHERE score > 100 ORDER BY score DESC LIMIT 10",
         ),
+        (
+            "group_having_minmax",
+            "SELECT region, MIN(score), MAX(name), COUNT(*) FROM customers "
+            "GROUP BY region HAVING COUNT(*) >= 2 AND MAX(score) > 10 "
+            "ORDER BY MIN(score), region",
+        ),
     ]
 
 
@@ -180,7 +190,14 @@ def _micro_workloads(
         vec_result = vec_plan.run(db)
         assert vec_result.rows == row_result.rows, name
         assert vec_result.ordered == row_result.ordered, name
-        assert "vectorized=yes" in vec_plan.explain(db), name
+        explain = vec_plan.explain(db)
+        assert "vectorized=yes" in explain, name
+        if "GROUP BY" in sql:
+            aggregate = next(
+                line for line in explain.splitlines()
+                if line.lstrip().startswith("aggregate")
+            )
+            assert "vectorized=yes" in aggregate, name
         row = _time(lambda: row_plan.run(db), iters)
         fast = _time(lambda: vec_plan.run(db), iters)
         results[name] = {

@@ -8,7 +8,10 @@ SQL convention that any comparison involving NULL is unknown.
 
 from __future__ import annotations
 
-from typing import Union
+from itertools import compress, repeat
+from math import inf, isnan
+from operator import is_
+from typing import Sequence, Union
 
 Value = Union[None, bool, int, float, str]
 
@@ -49,6 +52,20 @@ def compare_values(left: Value, right: Value) -> int | None:
     strings lexicographically; comparing a number to a string compares their
     type ranks, which keeps the ordering total and deterministic.
     """
+    # exact-type fast path; bools, subclasses and foreign types take the
+    # general rules below
+    ltype = type(left)
+    rtype = type(right)
+    if ltype is str:
+        if rtype is str:
+            return 0 if left == right else (-1 if left < right else 1)
+        if rtype is int or rtype is float:
+            return 1
+    elif ltype is int or ltype is float:
+        if rtype is int or rtype is float:
+            return 0 if left == right else (-1 if left < right else 1)
+        if rtype is str:
+            return -1
     if left is None or right is None:
         return None
     lrank = _TYPE_RANK[value_type_of(left)]
@@ -70,12 +87,210 @@ def sort_key(value: Value) -> tuple[int, float | str]:
     NULLs sort first (SQL ``NULLS FIRST`` behaviour of SQLite's default
     ascending order), then numbers, then text.
     """
+    kind = type(value)
+    if kind is str:
+        return (2, value)
+    if kind is int or kind is float:
+        return (1, float(value))
     family = value_type_of(value)
     if family == "null":
         return (0, 0.0)
     if family == "number":
         return (1, float(value))  # type: ignore[arg-type]
     return (2, str(value))
+
+
+# ----------------------------------------------------------------------
+# typed value order
+#
+# Every consumer that orders or folds many values at once (the compiled
+# engines' ORDER BY, MIN/MAX and SUM/AVG, sorted indexes, column
+# statistics) goes through the helpers below.  They produce exactly what
+# sorting by :func:`sort_key` produces, but split the values into their
+# families first -- NULLs, then numbers compared as plain floats, then
+# text compared as plain strs -- so no key tuple is formed per value.
+# When a value is NaN (not totally ordered) or is not exactly one of
+# ``None``/``bool``/``int``/``float``/``str`` (a subclass or a foreign
+# type), they fall back to :func:`sort_key` itself.
+# ----------------------------------------------------------------------
+_NONE_TYPE = type(None)
+#: the exact types whose sort key is ``(1, float(value))``
+_NUMBER_TYPES = frozenset({int, float, bool})
+_INT_FLOAT = frozenset({int, float})
+_TEXT_TYPES = frozenset({str})
+_NON_NULL_TYPES = _NUMBER_TYPES | _TEXT_TYPES
+_VALUE_TYPES = _NON_NULL_TYPES | {_NONE_TYPE}
+_NULL_KEY = (0, 0.0)
+#: ``.get(v, v)``: NULL as the least number, or as the least string
+_NULL_AS_NEG_INF = {None: -inf}.get
+_NULL_AS_EMPTY = {None: ""}.get
+
+
+def sorted_families(
+    values: Sequence[Value],
+) -> tuple[int, list[float], list[str]] | None:
+    """``(NULL count, numbers as sorted floats, texts as sorted strs)``:
+    the non-NULL values in :func:`sort_key` order, one list per family.
+
+    ``None`` when the typed path does not apply (see above).
+    """
+    kinds = set(map(type, values))
+    nulls = 0
+    non_null = values
+    if _NONE_TYPE in kinds:
+        kinds.discard(_NONE_TYPE)
+        non_null = [v for v in values if v is not None]
+        nulls = len(values) - len(non_null)
+    if kinds <= _NUMBER_TYPES:
+        numbers = sorted(map(float, non_null))
+        texts: list[str] = []
+    elif kinds == _TEXT_TYPES:
+        numbers = []
+        texts = sorted(non_null)  # type: ignore[arg-type]
+    elif kinds <= _NON_NULL_TYPES:
+        numbers = sorted([float(v) for v in non_null if type(v) is not str])
+        texts = sorted([v for v in non_null if type(v) is str])
+    else:
+        return None
+    if float in kinds and any(map(isnan, numbers)):
+        return None
+    return nulls, numbers, texts
+
+
+def _family_positions(
+    values: Sequence[Value], descending: bool
+) -> tuple[list[int], list[int], list[int]] | None:
+    """``(NULL, number, text)`` positions of *values*, each family in
+    stable ascending (or stable descending) order; ``None`` when the
+    typed path does not apply."""
+    kinds = set(map(type, values))
+    count = len(values)
+    nulls = values.count(None) if _NONE_TYPE in kinds else 0
+    family = kinds - {_NONE_TYPE}
+    if family <= _NUMBER_TYPES:
+        least: float | str = -inf
+        keys = list(map(float, map(_NULL_AS_NEG_INF, values, values)
+                        if nulls else values))
+        if float in kinds and any(map(isnan, keys)):
+            return None
+    elif family == _TEXT_TYPES:
+        least = ""
+        keys = list(map(_NULL_AS_EMPTY, values, values)) if nulls else values
+    else:
+        keys = None
+    # one family and NULLs: each NULL stands in as the family's least
+    # value, so a stable sort puts the NULLs first (last when descending)
+    # in position order -- unless a real value ties with the stand-in
+    if keys is not None and (not nulls or keys.count(least) == nulls):
+        order = sorted(range(count), key=keys.__getitem__, reverse=descending)
+        if descending:
+            present, absent = order[:count - nulls], order[count - nulls:]
+        else:
+            absent, present = order[:nulls], order[nulls:]
+        if family <= _NUMBER_TYPES:
+            return absent, present, []
+        return absent, [], present
+    if not kinds <= _VALUE_TYPES:
+        return None
+    types = list(map(type, values))
+    is_null = list(map(is_, types, repeat(_NONE_TYPE)))
+    is_text = list(map(is_, types, repeat(str)))
+    nulls = list(compress(range(count), is_null))
+    texts = list(compress(range(count), is_text))
+    # a value is a number when it is neither, i.e. when both flags are
+    # False (they are never both True)
+    numbers = list(compress(range(count), map(is_, is_null, is_text)))
+    floats = list(map(float, map(values.__getitem__, numbers)))
+    if float in kinds and any(map(isnan, floats)):
+        return None
+    order = sorted(range(len(numbers)), key=floats.__getitem__,
+                   reverse=descending)
+    numbers = list(map(numbers.__getitem__, order))
+    texts.sort(key=values.__getitem__, reverse=descending)
+    return nulls, numbers, texts
+
+
+def order_positions(
+    values: Sequence[Value], descending: bool = False
+) -> list[int]:
+    """Positions of *values* in stable :func:`sort_key` order.
+
+    Exactly ``sorted(range(len(values)), key=lambda i:
+    sort_key(values[i]), reverse=descending)``: equal values keep their
+    original order in both directions.  One pass of a multi-key ORDER BY.
+    """
+    families = _family_positions(values, descending)
+    if families is None:
+        keys = list(map(sort_key, values))
+        return sorted(
+            range(len(keys)), key=keys.__getitem__, reverse=descending
+        )
+    nulls, numbers, texts = families
+    if descending:
+        return texts + numbers + nulls
+    return nulls + numbers + texts
+
+
+def index_order(values: Sequence[Value]) -> tuple[list[int], list[tuple]]:
+    """``(positions, keys)``: the positions of *values* in ascending
+    :func:`sort_key` order, ties in position order, and the
+    :func:`sort_key` of each value in that order.
+
+    Equal to sorting ``(sort_key(value), position)`` pairs, which is
+    also what the fallback does.
+    """
+    families = _family_positions(values, False)
+    if families is None:
+        decorated = sorted(zip(map(sort_key, values), range(len(values))))
+        return [pos for _key, pos in decorated], [key for key, _pos in decorated]
+    nulls, numbers, texts = families
+    keys: list[tuple] = [_NULL_KEY] * len(nulls)
+    keys += zip(repeat(1), map(float, map(values.__getitem__, numbers)))
+    keys += zip(repeat(2), map(values.__getitem__, texts))
+    return nulls + numbers + texts, keys
+
+
+def _fold_extreme(values: Sequence[Value], largest: bool) -> Value:
+    fold = max if largest else min
+    kinds = set(map(type, values))
+    if kinds == _TEXT_TYPES:
+        return fold(values)  # type: ignore[type-var]
+    if kinds and kinds <= _NUMBER_TYPES:
+        floats = list(map(float, values))
+        if float not in kinds or not any(map(isnan, floats)):
+            # the first value whose float is extreme, as a keyed fold
+            # returns the first of equal keys
+            return values[floats.index(fold(floats))]
+    elif str in kinds and kinds <= _NON_NULL_TYPES:
+        # every number sorts below every text value
+        if largest:
+            return max([v for v in values if type(v) is str])
+        return _fold_extreme([v for v in values if type(v) is not str], False)
+    return fold(values, key=sort_key)
+
+
+def min_value(values: Sequence[Value]) -> Value:
+    """``min(values, key=sort_key)``: the first of the smallest values."""
+    return _fold_extreme(values, False)
+
+
+def max_value(values: Sequence[Value]) -> Value:
+    """``max(values, key=sort_key)``: the first of the largest values."""
+    return _fold_extreme(values, True)
+
+
+def sum_operands(values: Sequence[Value]) -> Sequence[Value] | None:
+    """The operands SUM and AVG add: *values* with each ``bool`` as a
+    ``float``, or ``None`` when some value is not a number."""
+    kinds = set(map(type, values))
+    if kinds <= _INT_FLOAT:
+        return values
+    if kinds <= _NUMBER_TYPES:
+        return [float(v) if type(v) is bool else v for v in values]
+    numbers = [float(v) if isinstance(v, bool) else v for v in values]
+    if all(isinstance(v, (int, float)) for v in numbers):
+        return numbers
+    return None
 
 
 def coerce_value(text: str | None) -> Value:

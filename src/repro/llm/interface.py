@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import random
 import re
+import threading
 from dataclasses import dataclass
 
+from repro.data.schema import Schema
 from repro.errors import LLMError
 from repro.llm.corruption import corrupt_query, syntax_error_text
 from repro.llm.profiles import ModelProfile, get_profile
-from repro.llm.prompts import ParsedPrompt, parse_prompt
+from repro.llm.prompts import ParsedPrompt, deserialize_schema, parse_prompt
 from repro.nlg.lexicon import CHART_PHRASES
 from repro.parsers.base import ParseRequest
 from repro.parsers.semantic import GrammarSemanticParser
@@ -52,8 +54,18 @@ def _stable_hash(text: str) -> int:
     return value
 
 
+#: schemas a :class:`SimulatedLLM` keeps rebuilt from prompt text
+_SCHEMA_MEMO_MAX = 512
+
+
 class SimulatedLLM:
-    """Deterministic prompt-sensitive text completion; see module docstring."""
+    """Deterministic prompt-sensitive text completion; see module docstring.
+
+    The solver is one :class:`GrammarSemanticParser` per capability set,
+    kept for the instance's life, and a prompt's schema text maps to one
+    :class:`Schema` object (schemas are frozen), so the solver's schema
+    linkers and parse memo carry over from one completion to the next.
+    """
 
     def __init__(
         self, profile: str | ModelProfile = "chatgpt-like", seed: int = 0
@@ -64,6 +76,9 @@ class SimulatedLLM:
         self.seed = seed
         self.calls = 0
         self.total_prompt_tokens = 0
+        self._solvers: dict[tuple, GrammarSemanticParser] = {}
+        self._schemas: dict[tuple[str, str], Schema] = {}
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def complete(
@@ -75,7 +90,7 @@ class SimulatedLLM:
         self.calls += 1
         prompt_tokens = len(prompt.split())
         self.total_prompt_tokens += prompt_tokens * n
-        parsed = parse_prompt(prompt)
+        parsed = parse_prompt(prompt, self._schema_of)
         completions = []
         for index in range(n):
             sample_key = index if temperature > 0 else 0
@@ -136,15 +151,39 @@ class SimulatedLLM:
         return self._render(parsed, sql_text, reasoning)
 
     # ------------------------------------------------------------------
+    def _schema_of(self, db_id: str, body: str) -> Schema:
+        key = (db_id, body)
+        schema = self._schemas.get(key)
+        if schema is None:
+            built = deserialize_schema(db_id, body)
+            with self._lock:
+                schema = self._schemas.setdefault(key, built)
+                if len(self._schemas) > _SCHEMA_MEMO_MAX:
+                    del self._schemas[next(iter(self._schemas))]
+        return schema
+
+    def _solver(
+        self, use_knowledge: bool, use_history: bool
+    ) -> GrammarSemanticParser:
+        profile = self.profile
+        key = (profile.knows_world_synonyms, profile.languages,
+               use_knowledge, use_history)
+        parser = self._solvers.get(key)
+        if parser is None:
+            built = GrammarSemanticParser(
+                world_knowledge=profile.knows_world_synonyms,
+                fuzzy=profile.knows_world_synonyms,
+                languages=profile.languages,
+                use_knowledge=use_knowledge,
+                use_history=use_history,
+                guess_unlinked=True,
+            )
+            with self._lock:
+                parser = self._solvers.setdefault(key, built)
+        return parser
+
     def _solve(self, parsed: ParsedPrompt) -> tuple[Query | None, str]:
-        parser = GrammarSemanticParser(
-            world_knowledge=self.profile.knows_world_synonyms,
-            fuzzy=self.profile.knows_world_synonyms,
-            languages=self.profile.languages,
-            use_knowledge=parsed.knowledge is not None,
-            use_history=bool(parsed.history),
-            guess_unlinked=True,
-        )
+        parser = self._solver(parsed.knowledge is not None, bool(parsed.history))
         history = []
         for turn_q, turn_sql in parsed.history:
             try:

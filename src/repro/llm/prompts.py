@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.data.schema import Column, ColumnType, ForeignKey, Schema, TableSchema
 
@@ -128,8 +129,15 @@ class ParsedPrompt:
     error: str | None = None
 
 
-def parse_prompt(prompt: str) -> ParsedPrompt:
-    """Recover the structured prompt fields (see module docstring)."""
+def parse_prompt(
+    prompt: str,
+    schema_of: Callable[[str, str], Schema] | None = None,
+) -> ParsedPrompt:
+    """Recover the structured prompt fields (see module docstring).
+
+    *schema_of* rebuilds the schema from its database id and CREATE TABLE
+    body; it defaults to :func:`deserialize_schema`.
+    """
     parsed = ParsedPrompt()
     parsed.task = "vis" if "VQL" in prompt else "sql"
     parsed.chain_of_thought = _COT_MARKER in prompt
@@ -149,7 +157,7 @@ def parse_prompt(prompt: str) -> ParsedPrompt:
         flags=re.DOTALL,
     )
     if schema_match:
-        parsed.schema = deserialize_schema(
+        parsed.schema = (schema_of or deserialize_schema)(
             schema_match.group("db"), schema_match.group("body")
         )
 

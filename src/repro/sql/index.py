@@ -36,9 +36,10 @@ the bucket/bisect bookkeeping, so plans fall back to plain filtering.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 
 from repro.data.database import Table
-from repro.data.values import Value, sort_key
+from repro.data.values import Value, index_order, order_positions, sort_key
 
 __all__ = [
     "HashIndex",
@@ -238,13 +239,9 @@ class SortedIndex:
     __slots__ = ("slot", "length", "keys", "asc", "_desc", "null_count")
 
     def __init__(self, rows: list[tuple[Value, ...]], slot: int):
-        decorated = sorted(
-            (sort_key(row[slot]), pos) for pos, row in enumerate(rows)
-        )
         self.slot = slot
         self.length = len(rows)
-        self.keys = [key for key, _pos in decorated]
-        self.asc = [pos for _key, pos in decorated]
+        self.asc, self.keys = index_order([row[slot] for row in rows])
         self._desc: list[int] | None = None
         self.null_count = bisect_right(self.keys, _NULL_KEY)
 
@@ -287,11 +284,14 @@ class SortedIndex:
         ``reverse=True`` sort produces.
         """
         if self._desc is None:
-            keys, asc = self.keys, self.asc
-            order = sorted(
-                range(len(asc)), key=lambda i: keys[i], reverse=True
+            # the NULLs lead ``asc`` in row order and trail ``desc`` in
+            # it; past them each key's float or string orders exactly as
+            # the key does
+            asc, nulls = self.asc, self.null_count
+            order = order_positions(
+                list(map(itemgetter(1), self.keys[nulls:])), descending=True
             )
-            self._desc = [asc[i] for i in order]
+            self._desc = [asc[nulls + i] for i in order] + asc[:nulls]
         return self._desc
 
     def range_positions(

@@ -59,9 +59,8 @@ using :mod:`repro.sql.stats` (row counts, NDV, histograms) and
   sorting by the written-order position tuple;
 - the build side of a hash join probes a cached table index when the join
   keys are plain columns over an unfiltered scan;
-- ``ORDER BY ... LIMIT k`` uses a heap top-k instead of a full sort, and a
-  bare single-column variant reads the first *k* positions straight off
-  the sorted index.
+- a bare single-column ``ORDER BY ... LIMIT k`` (a *top-k*) reads the
+  first *k* positions straight off the sorted index.
 
 Every optimization preserves the reference engine's results bit-for-bit —
 rows, order, ``ordered`` flags, and error behaviour — because each is
@@ -74,7 +73,6 @@ them next to actual row counts.
 
 from __future__ import annotations
 
-import heapq
 import os
 import threading
 from collections import OrderedDict
@@ -86,7 +84,14 @@ from typing import Any, Callable
 from repro.data.database import Database
 from repro.data.identity import identity_token
 from repro.data.schema import Schema
-from repro.data.values import Value, compare_values, sort_key
+from repro.data.values import (
+    Value,
+    compare_values,
+    max_value,
+    min_value,
+    order_positions,
+    sum_operands,
+)
 from repro.errors import AnalysisError, ExecutionError
 from repro.resilience import deadline as _deadline
 from repro.sql.ast import (
@@ -118,7 +123,6 @@ from repro.sql.executor import (
     _eval_in,
     _like_match,
     _select_uses_aggregates,
-    _sort_rows,
     _truthy,
 )
 from repro.obs import metrics as _obs_metrics
@@ -884,11 +888,11 @@ def _compile_aggregate(expr: FuncCall, chain: list[_Frame], ctx: _Ctx) -> _ExprF
         if not values:
             return None
         if name == "min":
-            return min(values, key=sort_key)
+            return min_value(values)
         if name == "max":
-            return max(values, key=sort_key)
-        numbers = [float(v) if isinstance(v, bool) else v for v in values]
-        if not all(isinstance(v, (int, float)) for v in numbers):
+            return max_value(values)
+        numbers = sum_operands(values)
+        if numbers is None:
             raise ExecutionError(non_numeric)
         total = sum(numbers)
         if name == "sum":
@@ -2186,13 +2190,15 @@ def _alias_map(select: Select, row_len: int) -> dict[str, int] | None:
 def _compile_projection(select: Select, frame: _Frame, chain, ctx):
     """Compile the projection: output columns + per-row projector.
 
-    Returns ``(columns_fn, project, row_len, safe)``.  ``columns_fn(had_rows)``
-    reproduces the interpreter's output-column rules: stars expand to
-    ``binding.column`` names only when rows survived the WHERE filter, an
-    unexpandable star raises only then, and otherwise renders as ``"*"``.
-    ``safe`` is True when the projector is one of the statically error-free
-    slot-copy fast paths (a prerequisite for the fused index top-k, which
-    projects only the rows it returns).
+    Returns ``(columns_fn, project, row_len, batch)``.
+    ``columns_fn(had_rows)`` reproduces the interpreter's output-column
+    rules: stars expand to ``binding.column`` names only when rows survived
+    the WHERE filter, an unexpandable star raises only then, and otherwise
+    renders as ``"*"``.  ``batch`` is set when the projection is the
+    identity or copies plain depth-0 slots: it projects a whole list of
+    source rows at once with no per-row closure call, cannot raise, and is
+    a prerequisite for the fused index top-k, which projects only the rows
+    it returns.
     """
     cols_with: list[str] = []
     cols_empty: list[str] = []
@@ -2231,7 +2237,9 @@ def _compile_projection(select: Select, frame: _Frame, chain, ctx):
         and isinstance(parts[0], list)
         and parts[0] == list(range(frame.width))
     ):
-        return columns_fn, (lambda state, rows_chain: rows_chain[0]), row_len, True
+        return columns_fn, (
+            lambda state, rows_chain: rows_chain[0]
+        ), row_len, list
     slot_parts: list[int] | None = []
     for item in select.items:
         if isinstance(item.expr, ColumnRef):
@@ -2246,11 +2254,11 @@ def _compile_projection(select: Select, frame: _Frame, chain, ctx):
             slot = slot_parts[0]
             return columns_fn, (
                 lambda state, rows_chain: (rows_chain[0][slot],)
-            ), row_len, True
+            ), row_len, (lambda rows: [(r[slot],) for r in rows])
         getter = itemgetter(*slot_parts)
         return columns_fn, (
             lambda state, rows_chain: getter(rows_chain[0])
-        ), row_len, True
+        ), row_len, (lambda rows: list(map(getter, rows)))
 
     def project(state, rows_chain):
         row0 = rows_chain[0]
@@ -2263,28 +2271,32 @@ def _compile_projection(select: Select, frame: _Frame, chain, ctx):
                 values.append(part(state, rows_chain, None, None))
         return tuple(values)
 
-    return columns_fn, project, row_len, False
+    return columns_fn, project, row_len, None
 
 
-def _topk_rows(keyed, order_by, limit: int):
-    """Exactly ``_sort_rows(keyed, order_by)[:limit]``, via a bounded heap.
+def _order_rows(rows: list, key_columns, order_by) -> list:
+    """*rows* in the reference's ORDER BY order: one stable pass per key,
+    last key first, each through :func:`~repro.data.values.order_positions`.
 
-    Valid only when every ORDER BY key shares one direction:
-    ``heapq.nsmallest``/``nlargest`` are documented equivalents of
-    ``sorted(...)[:n]`` / ``sorted(..., reverse=True)[:n]``, which match
-    the reference's stable multi-pass sort when directions are uniform.
+    ``key_columns[i]`` holds ORDER BY key ``i`` of every row, aligned
+    with *rows*.
     """
-    if len(order_by) == 1:
-        def key(pair):
-            return sort_key(pair[0][0])
-    else:
-        def key(pair):
-            return tuple(sort_key(k) for k in pair[0])
-    if order_by[0].descending:
-        top = heapq.nlargest(limit, keyed, key=key)
-    else:
-        top = heapq.nsmallest(limit, keyed, key=key)
-    return [row for _keys, row in top]
+    perm = None
+    for index in range(len(order_by) - 1, -1, -1):
+        column = key_columns[index]
+        if perm is not None:
+            column = [column[p] for p in perm]
+        positions = order_positions(column, order_by[index].descending)
+        perm = positions if perm is None else [perm[p] for p in positions]
+    return [rows[p] for p in perm]
+
+
+def _order_keyed(keyed: list, order_by) -> list:
+    """The rows of ``(keys, row)`` pairs in ORDER BY order."""
+    if not keyed:
+        return []
+    key_lists, rows = zip(*keyed)
+    return _order_rows(rows, list(zip(*key_lists)), order_by)
 
 
 def _compile_select(select: Select, outer_chain: list[_Frame], ctx: _Ctx):
@@ -2326,7 +2338,7 @@ def _use_topk(select: Select, ctx: _Ctx, order_fns) -> bool:
 
 
 def _compile_plain_runner(select: Select, chain, ctx, source, filter_fn, info):
-    columns_fn, project, row_len, safe_project = _compile_projection(
+    columns_fn, project, row_len, batch = _compile_projection(
         select, chain[0], chain, ctx
     )
     aliases = _alias_map(select, row_len) if select.order_by else None
@@ -2352,7 +2364,7 @@ def _compile_plain_runner(select: Select, chain, ctx, source, filter_fn, info):
         and info.table is not None
         and info.unfiltered
         and filter_fn is None
-        and safe_project
+        and batch is not None
     ):
         oexpr = order_by[0].expr
         if isinstance(oexpr, ColumnRef) and (
@@ -2408,7 +2420,7 @@ def _compile_plain_runner(select: Select, chain, ctx, source, filter_fn, info):
     if fused_col is not None:
         detail = f"index top-k on {fused_col} " + detail
     elif use_topk:
-        detail = "heap top-k " + detail
+        detail = "top-k " + detail
     node = ctx.node("project", detail.strip(), est_rows=est,
                     children=[top_node])
     if ctx.vectorize and order_fns:
@@ -2421,30 +2433,30 @@ def _compile_plain_runner(select: Select, chain, ctx, source, filter_fn, info):
             rows0 = [r for r in rows0 if filter_fn(state, (r,) + outer)]
             state.actuals[filter_nid] = len(rows0)
         columns = columns_fn(bool(rows0))
-        if order_fns:
-            keyed = []
-            if order_spec is not None:
-                _vector.BATCHES.inc()
-                for r in rows0:
-                    row = project(state, (r,) + outer)
-                    keyed.append((
-                        [row[ix] if is_proj else r[ix]
-                         for is_proj, ix in order_spec],
-                        row,
-                    ))
+        if order_spec is not None:
+            # the keys read slots and cannot raise: project every row,
+            # then gather each key column at once
+            _vector.BATCHES.inc()
+            if batch is not None:
+                projected = batch(rows0)
             else:
-                for r in rows0:
-                    rows_chain = (r,) + outer
-                    row = project(state, rows_chain)
-                    keys = [
-                        fn(state, rows_chain, None, row) for fn in order_fns
-                    ]
-                    keyed.append((keys, row))
-            if use_topk:
-                projected = _topk_rows(keyed, order_by, limit)
-                state.actuals[nid] = len(projected)
-                return Result(columns=columns, rows=projected, ordered=True)
-            projected = _sort_rows(keyed, order_by)
+                projected = [project(state, (r,) + outer) for r in rows0]
+            key_columns = [
+                [row[ix] for row in projected] if is_proj
+                else [r[ix] for r in rows0]
+                for is_proj, ix in order_spec
+            ]
+            projected = _order_rows(projected, key_columns, order_by)
+        elif order_fns:
+            keyed = []
+            for r in rows0:
+                rows_chain = (r,) + outer
+                row = project(state, rows_chain)
+                keys = [fn(state, rows_chain, None, row) for fn in order_fns]
+                keyed.append((keys, row))
+            projected = _order_keyed(keyed, order_by)
+        elif batch is not None:
+            projected = batch(rows0)
         else:
             projected = [project(state, (r,) + outer) for r in rows0]
         if distinct:
@@ -2467,9 +2479,7 @@ def _compile_plain_runner(select: Select, chain, ctx, source, filter_fn, info):
                 return generic_run(state, outer)
             idx = _index.sorted_index(table, column)
             positions = idx.desc if descending else idx.asc
-            projected = [
-                project(state, (raw[p],) + outer) for p in positions[:limit]
-            ]
+            projected = batch([raw[p] for p in positions[:limit]])
             state.actuals[nid] = len(projected)
             return Result(
                 columns=columns_fn(bool(raw)), rows=projected, ordered=True
@@ -2497,17 +2507,17 @@ def _unknown_column_message(expr: ColumnRef) -> str:
 def _analyze_vector_agg(select: Select, chain, ctx, aliases):
     """Static plan for a vectorized grouped aggregation, or ``None``.
 
-    Eligible when HAVING is absent, every GROUP BY key and aggregate
-    argument is a plain depth-0 column, every output item is a plain
-    column / ``COUNT(*)`` / a single-column aggregate, and every ORDER BY
-    key maps to a projected offset, a representative-row slot, or an
-    aggregate recomputation.  Returns ``(group_slots, item_specs,
-    order_spec)``; each spec reproduces the row engine's behaviour
-    exactly, including the unknown-column error a plain column raises for
-    the empty whole-table group.
+    Eligible when every GROUP BY key and aggregate argument is a plain
+    depth-0 column, every output item is a plain column / ``COUNT(*)`` /
+    a single-column aggregate, and every ORDER BY key maps to a projected
+    offset, a representative-row slot, or an aggregate recomputation.
+    Returns ``(group_slots, item_specs, order_spec)``; each spec
+    reproduces the row engine's behaviour exactly, including the
+    unknown-column error a plain column raises for the empty whole-table
+    group.  HAVING, whatever its shape, does not affect eligibility: the
+    vectorized runner evaluates the row engine's compiled HAVING closure
+    on each group before its items, as the row engine does.
     """
-    if select.having is not None:
-        return None
 
     def agg_spec(expr):
         # ("count*",) or ("agg", name, slot, distinct) for a vectorizable
@@ -2640,7 +2650,7 @@ def _compile_aggregated_runner(select: Select, chain, ctx, source, filter_fn,
         ("group by " + ", ".join(to_sql(e) for e in select.group_by) + " "
          if select.group_by else "")
         + ("having " if select.having is not None else "")
-        + ("heap top-k " if use_topk else "")
+        + ("top-k " if use_topk else "")
         + _order_detail(select)
     )
     node = ctx.node("aggregate", detail.strip(), children=[top_node])
@@ -2663,6 +2673,11 @@ def _compile_aggregated_runner(select: Select, chain, ctx, source, filter_fn,
             else:
                 groups = [rows0]  # one whole-table group, even when empty
             for members in groups:
+                if having_fn is not None and not _truthy(having_fn(
+                    state, (members[0] if members else None,) + outer,
+                    members, None,
+                )):
+                    continue
                 values = []
                 for spec in item_specs:
                     tag = spec[0]
@@ -2697,13 +2712,7 @@ def _compile_aggregated_runner(select: Select, chain, ctx, source, filter_fn,
                 else:
                     out_rows.append(row)
             if order_fns:
-                if use_topk:
-                    out_rows = _topk_rows(keyed, order_by, limit)
-                    state.actuals[nid] = len(out_rows)
-                    return Result(
-                        columns=list(agg_columns), rows=out_rows, ordered=True
-                    )
-                out_rows = _sort_rows(keyed, order_by)
+                out_rows = _order_keyed(keyed, order_by)
             if distinct:
                 out_rows = _distinct(out_rows)
             if limit is not None:
@@ -2740,13 +2749,7 @@ def _compile_aggregated_runner(select: Select, chain, ctx, source, filter_fn,
             else:
                 out_rows.append(row)
         if order_fns:
-            if use_topk:
-                out_rows = _topk_rows(keyed, order_by, limit)
-                state.actuals[nid] = len(out_rows)
-                return Result(
-                    columns=list(agg_columns), rows=out_rows, ordered=True
-                )
-            out_rows = _sort_rows(keyed, order_by)
+            out_rows = _order_keyed(keyed, order_by)
         if distinct:
             out_rows = _distinct(out_rows)
         if limit is not None:

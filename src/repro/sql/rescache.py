@@ -136,19 +136,34 @@ def _query_key_info(query: Query) -> tuple:
 _SAMPLE_ROWS = 32
 
 
+#: per-value cost by exact type; str adds its length, and other types
+#: (subclasses included) take :func:`_value_bytes`
+_FIXED_BYTES = {type(None): 16, bool: 16, int: 32, float: 24}
+
+
+def _value_bytes(value) -> int:
+    if value is None or isinstance(value, bool):
+        return 16  # shared singletons
+    if isinstance(value, int):
+        return 32
+    if isinstance(value, float):
+        return 24
+    if isinstance(value, str):
+        return 56 + len(value)
+    return 64  # pragma: no cover - engine values are the four above
+
+
 def _row_bytes(row: tuple) -> int:
     total = 64  # tuple header + slots
+    fixed = _FIXED_BYTES.get
     for value in row:
-        if value is None or isinstance(value, bool):
-            total += 16  # shared singletons
-        elif isinstance(value, int):
-            total += 32
-        elif isinstance(value, float):
-            total += 24
-        elif isinstance(value, str):
-            total += 56 + len(value)
-        else:  # pragma: no cover - engine values are the four above
-            total += 64
+        cost = fixed(type(value))
+        if cost is None:
+            if type(value) is str:
+                cost = 56 + len(value)
+            else:
+                cost = _value_bytes(value)
+        total += cost
     return total
 
 

@@ -23,11 +23,10 @@ never results.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from math import isnan
 from dataclasses import dataclass, field
 
 from repro.data.database import Table
-from repro.data.values import Value, sort_key
+from repro.data.values import Value, sort_key, sorted_families
 
 __all__ = [
     "ColumnStats",
@@ -174,43 +173,22 @@ class TableStats:
         return stats
 
 
-#: the value types whose sort key is ``(1, float(value))``
-_NUMBER_TYPES = frozenset({int, float, bool})
-_NONE_TYPE = type(None)
-
-
 def collect_column_stats(values: list[Value]) -> ColumnStats:
     """Build :class:`ColumnStats` from a column's values.
 
-    The executor's total order (:func:`~repro.data.values.sort_key`)
-    puts every number before every text value, so numbers are sorted as
-    plain floats and text as plain strings, and sort-key tuples are
-    formed only for the bounds.  The result equals
-    :func:`_collect_by_sort_key`'s, which sorts one key tuple per value
-    and still handles NaN and any value outside the library's value
-    domain (``None``, ``bool``, ``int``, ``float``, ``str``).
+    The values come sorted family by family from
+    :func:`~repro.data.values.sorted_families` -- numbers as plain
+    floats, text as plain strings -- and sort-key tuples are formed only
+    for the bounds.  The result equals :func:`_collect_by_sort_key`'s,
+    which sorts one key tuple per value and is the fallback for the
+    values the typed order does not take (NaN, foreign types).
     """
-    kinds = set(map(type, values))
-    if _NONE_TYPE in kinds:
-        kinds.discard(_NONE_TYPE)
-        non_null = [v for v in values if v is not None]
-    else:
-        non_null = values
-    if kinds <= _NUMBER_TYPES:
-        numbers = sorted(map(float, non_null))
-        texts: list[str] = []
-    elif kinds == {str}:
-        numbers = []
-        texts = sorted(non_null)
-    elif kinds <= _NUMBER_TYPES | {str}:
-        numbers = sorted([float(v) for v in non_null if type(v) is not str])
-        texts = sorted([v for v in non_null if type(v) is str])
-    else:
+    families = sorted_families(values)
+    if families is None:
         return _collect_by_sort_key(values)
-    if float in kinds and any(map(isnan, numbers)):
-        return _collect_by_sort_key(values)
+    nulls, numbers, texts = families
     count = len(values)
-    n = len(non_null)
+    n = count - nulls
     if not n:
         return ColumnStats(count=count, nulls=count, ndv=0,
                            min_key=None, max_key=None)
@@ -236,7 +214,7 @@ def collect_column_stats(values: list[Value]) -> ColumnStats:
     ) + (key(n - 1),)
     return ColumnStats(
         count=count,
-        nulls=count - n,
+        nulls=nulls,
         ndv=ndv,
         min_key=key(0),
         max_key=key(n - 1),

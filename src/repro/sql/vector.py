@@ -48,7 +48,13 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable
 
 from repro.data.database import Table
-from repro.data.values import Value, compare_values, sort_key
+from repro.data.values import (
+    Value,
+    compare_values,
+    max_value,
+    min_value,
+    sum_operands,
+)
 from repro.errors import ExecutionError
 from repro.obs import metrics as _obs_metrics
 from repro.sql.ast import (
@@ -737,28 +743,15 @@ def grouped_rows(
     unifies ``1``/``1.0``/``True`` just as SQL grouping does there).
     """
     groups: dict[Any, list[tuple[Value, ...]]] = {}
-    order: list[Any] = []
-    if len(key_slots) == 1:
-        slot = key_slots[0]
-        for row in rows:
-            key = row[slot]
-            bucket = groups.get(key)
-            if bucket is None:
-                groups[key] = [row]
-                order.append(key)
-            else:
-                bucket.append(row)
-    else:
-        getter = itemgetter(*key_slots)
-        for row in rows:
-            key = getter(row)
-            bucket = groups.get(key)
-            if bucket is None:
-                groups[key] = [row]
-                order.append(key)
-            else:
-                bucket.append(row)
-    return [groups[key] for key in order]
+    # one slot gives the bare value as the key, several a tuple
+    for key, row in zip(map(itemgetter(*key_slots), rows), rows):
+        bucket = groups.get(key)
+        if bucket is None:
+            groups[key] = [row]
+        else:
+            bucket.append(row)
+    # dicts keep insertion order: buckets come out in first-seen key order
+    return list(groups.values())
 
 
 def aggregate_column(
@@ -771,14 +764,11 @@ def aggregate_column(
 
     Semantics mirror the interpreter's ``_eval_function`` exactly: NULLs
     are skipped, DISTINCT dedupes on first-seen order, COUNT of no values
-    is 0 while the others are NULL, MIN/MAX use the executor's sort key,
-    and SUM/AVG raise the interpreter's non-numeric error verbatim.
+    is 0 while the others are NULL, MIN/MAX use the executor's sort-key
+    order (through the typed folds of :mod:`repro.data.values`), and
+    SUM/AVG raise the interpreter's non-numeric error verbatim.
     """
-    values = []
-    for row in members:
-        value = row[slot]
-        if value is not None:
-            values.append(value)
+    values = [v for row in members if (v := row[slot]) is not None]
     if distinct:
         values = _distinct_values(values)
     if kind == "count":
@@ -786,11 +776,11 @@ def aggregate_column(
     if not values:
         return None
     if kind == "min":
-        return min(values, key=sort_key)
+        return min_value(values)
     if kind == "max":
-        return max(values, key=sort_key)
-    numbers = [float(v) if isinstance(v, bool) else v for v in values]
-    if not all(isinstance(v, _NUM) for v in numbers):
+        return max_value(values)
+    numbers = sum_operands(values)
+    if numbers is None:
         raise ExecutionError(
             f"aggregate {kind.upper()} over non-numeric values"
         )

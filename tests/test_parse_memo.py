@@ -22,6 +22,7 @@ from repro.datasets import build_dataset
 from repro.obs import metrics as obs_metrics
 from repro.parsers import semantic
 from repro.parsers.base import ParseRequest
+from repro.parsers.llm import MultiStageLLMParser
 from repro.parsers.semantic import GrammarSemanticParser
 
 #: the default pipeline parser and the quickstart facade's parser
@@ -196,6 +197,93 @@ def test_random_writes_never_serve_a_stale_parse(shop, seed):
                 assert _outcome(parser.parse(ask)) == _fresh({}, ask), (
                     step, question
                 )
+
+
+def _first_matches(table, column) -> dict:
+    """The value-linking map by a full scan: lowered -> first stored."""
+    slot = table.column_index(column)
+    out: dict = {}
+    for row in table.rows:
+        if isinstance(row[slot], str):
+            out.setdefault(row[slot].lower(), row[slot])
+    return out
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_case_maps_equal_a_fresh_scan_after_random_writes(shop, seed):
+    rng = random.Random(seed)
+    casings = ("garden", "Garden", "GARDEN", "tools", "Tools", "TOOLS")
+    db = _shop_db(shop, [(1, "Hose", "tools", 1.0)])
+    table = db.table("products")
+    parser = GrammarSemanticParser()
+    ask = ParseRequest(
+        "show the name of products whose category is garden and name is HOSE",
+        shop, db,
+    )
+    published = []
+    for step in range(60):
+        op = rng.random()
+        if op < 0.55:
+            db.insert("products", (
+                step, rng.choice(("hose", "Hose", "HOSE", "rake", None)),
+                rng.choice(casings), float(step),
+            ))
+        elif op < 0.7:
+            rows = list(table.rows)
+            rng.shuffle(rows)
+            table.replace_rows(rows[: len(rows) // 2])
+        elif op < 0.85:
+            rows = list(table.rows)
+            rng.shuffle(rows)
+            table.rows = rows  # a raw swap, seen only by cache_token
+        else:
+            table.invalidate_caches()
+        assert _outcome(parser.parse(ask)) == _fresh({}, ask), step
+        for column in ("name", "category"):
+            current = semantic._case_map(table, column)
+            assert current == _first_matches(table, column), (step, column)
+            published.append((current, dict(current)))
+    # a catch-up copies: no map handed out earlier was changed afterwards
+    assert all(current == snapshot for current, snapshot in published)
+
+
+# ----------------------------------------------------------------------
+# the simulated LLM's solver
+def _counting_linkers(monkeypatch) -> list:
+    built = []
+
+    class CountingLinker(semantic.SchemaLinker):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(semantic, "SchemaLinker", CountingLinker)
+    return built
+
+
+def test_the_simulated_llm_keeps_its_solver(monkeypatch):
+    dataset = build_dataset("spider_like", scale=0.01, seed=3)
+    requests = _requests(dataset)[:2]
+    built = _counting_linkers(monkeypatch)
+    parser = MultiStageLLMParser()
+    for step in range(10):
+        parser.parse(requests[step % 2])
+    assert parser.llm.calls >= 10
+    assert len(built) <= 2
+
+
+def test_llm_outputs_equal_fresh_solver_outputs():
+    dataset = build_dataset("spider_like", scale=0.01, seed=3)
+    examples = list(dataset.examples)
+    kept = MultiStageLLMParser()
+    kept.train(examples[:8], dataset.databases)
+    for _round in range(2):
+        for request in _requests(dataset):
+            fresh = MultiStageLLMParser()
+            fresh.train(examples[:8], dataset.databases)
+            assert _outcome(kept.parse(request)) == _outcome(
+                fresh.parse(request)
+            ), request.question
 
 
 # ----------------------------------------------------------------------
