@@ -8,9 +8,8 @@ SQL convention that any comparison involving NULL is unknown.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import repeat
 from math import inf, isnan
-from operator import is_
 from typing import Sequence, Union
 
 Value = Union[None, bool, int, float, str]
@@ -106,12 +105,14 @@ def sort_key(value: Value) -> tuple[int, float | str]:
 # Every consumer that orders or folds many values at once (the compiled
 # engines' ORDER BY, MIN/MAX and SUM/AVG, sorted indexes, column
 # statistics) goes through the helpers below.  They produce exactly what
-# sorting by :func:`sort_key` produces, but split the values into their
-# families first -- NULLs, then numbers compared as plain floats, then
-# text compared as plain strs -- so no key tuple is formed per value.
-# When a value is NaN (not totally ordered) or is not exactly one of
-# ``None``/``bool``/``int``/``float``/``str`` (a subclass or a foreign
-# type), they fall back to :func:`sort_key` itself.
+# sorting by :func:`sort_key` produces, but when the values are NULLs
+# plus one family -- numbers compared as plain floats, or text compared
+# as plain strs -- no key tuple is formed per value.  Anything else
+# falls back to :func:`sort_key` itself: numbers mixed with text, a NaN
+# (not totally ordered), a real value equal to the NULL stand-in, or a
+# value that is not exactly one of ``None``/``bool``/``int``/``float``/
+# ``str`` (a subclass or a foreign type).  :func:`sorted_families`
+# alone also takes numbers mixed with text, one sorted list per family.
 # ----------------------------------------------------------------------
 _NONE_TYPE = type(None)
 #: the exact types whose sort key is ``(1, float(value))``
@@ -119,7 +120,6 @@ _NUMBER_TYPES = frozenset({int, float, bool})
 _INT_FLOAT = frozenset({int, float})
 _TEXT_TYPES = frozenset({str})
 _NON_NULL_TYPES = _NUMBER_TYPES | _TEXT_TYPES
-_VALUE_TYPES = _NON_NULL_TYPES | {_NONE_TYPE}
 _NULL_KEY = (0, 0.0)
 #: ``.get(v, v)``: NULL as the least number, or as the least string
 _NULL_AS_NEG_INF = {None: -inf}.get
@@ -159,12 +159,12 @@ def sorted_families(
 
 def _family_positions(
     values: Sequence[Value], descending: bool
-) -> tuple[list[int], list[int], list[int]] | None:
-    """``(NULL, number, text)`` positions of *values*, each family in
-    stable ascending (or stable descending) order; ``None`` when the
-    typed path does not apply."""
+) -> tuple[list[int], list[int]] | None:
+    """``(NULL positions, value positions)`` of *values*, each in stable
+    ascending (or stable descending) order, when the non-NULL values are
+    all numbers or all text; ``None`` when the typed path does not
+    apply."""
     kinds = set(map(type, values))
-    count = len(values)
     nulls = values.count(None) if _NONE_TYPE in kinds else 0
     family = kinds - {_NONE_TYPE}
     if family <= _NUMBER_TYPES:
@@ -177,37 +177,17 @@ def _family_positions(
         least = ""
         keys = list(map(_NULL_AS_EMPTY, values, values)) if nulls else values
     else:
-        keys = None
-    # one family and NULLs: each NULL stands in as the family's least
-    # value, so a stable sort puts the NULLs first (last when descending)
-    # in position order -- unless a real value ties with the stand-in
-    if keys is not None and (not nulls or keys.count(least) == nulls):
-        order = sorted(range(count), key=keys.__getitem__, reverse=descending)
-        if descending:
-            present, absent = order[:count - nulls], order[count - nulls:]
-        else:
-            absent, present = order[:nulls], order[nulls:]
-        if family <= _NUMBER_TYPES:
-            return absent, present, []
-        return absent, [], present
-    if not kinds <= _VALUE_TYPES:
         return None
-    types = list(map(type, values))
-    is_null = list(map(is_, types, repeat(_NONE_TYPE)))
-    is_text = list(map(is_, types, repeat(str)))
-    nulls = list(compress(range(count), is_null))
-    texts = list(compress(range(count), is_text))
-    # a value is a number when it is neither, i.e. when both flags are
-    # False (they are never both True)
-    numbers = list(compress(range(count), map(is_, is_null, is_text)))
-    floats = list(map(float, map(values.__getitem__, numbers)))
-    if float in kinds and any(map(isnan, floats)):
+    # each NULL stands in as the family's least value, so a stable sort
+    # puts the NULLs first (last when descending) in position order --
+    # unless a real value ties with the stand-in
+    if nulls and keys.count(least) != nulls:
         return None
-    order = sorted(range(len(numbers)), key=floats.__getitem__,
-                   reverse=descending)
-    numbers = list(map(numbers.__getitem__, order))
-    texts.sort(key=values.__getitem__, reverse=descending)
-    return nulls, numbers, texts
+    count = len(values)
+    order = sorted(range(count), key=keys.__getitem__, reverse=descending)
+    if descending:
+        return order[count - nulls:], order[:count - nulls]
+    return order[:nulls], order[nulls:]
 
 
 def order_positions(
@@ -225,10 +205,10 @@ def order_positions(
         return sorted(
             range(len(keys)), key=keys.__getitem__, reverse=descending
         )
-    nulls, numbers, texts = families
+    nulls, present = families
     if descending:
-        return texts + numbers + nulls
-    return nulls + numbers + texts
+        return present + nulls
+    return nulls + present
 
 
 def index_order(values: Sequence[Value]) -> tuple[list[int], list[tuple]]:
@@ -243,11 +223,13 @@ def index_order(values: Sequence[Value]) -> tuple[list[int], list[tuple]]:
     if families is None:
         decorated = sorted(zip(map(sort_key, values), range(len(values))))
         return [pos for _key, pos in decorated], [key for key, _pos in decorated]
-    nulls, numbers, texts = families
+    nulls, present = families
     keys: list[tuple] = [_NULL_KEY] * len(nulls)
-    keys += zip(repeat(1), map(float, map(values.__getitem__, numbers)))
-    keys += zip(repeat(2), map(values.__getitem__, texts))
-    return nulls + numbers + texts, keys
+    if present and type(values[present[0]]) is str:
+        keys += zip(repeat(2), map(values.__getitem__, present))
+    else:
+        keys += zip(repeat(1), map(float, map(values.__getitem__, present)))
+    return nulls + present, keys
 
 
 def _fold_extreme(values: Sequence[Value], largest: bool) -> Value:
@@ -261,11 +243,6 @@ def _fold_extreme(values: Sequence[Value], largest: bool) -> Value:
             # the first value whose float is extreme, as a keyed fold
             # returns the first of equal keys
             return values[floats.index(fold(floats))]
-    elif str in kinds and kinds <= _NON_NULL_TYPES:
-        # every number sorts below every text value
-        if largest:
-            return max([v for v in values if type(v) is str])
-        return _fold_extreme([v for v in values if type(v) is not str], False)
     return fold(values, key=sort_key)
 
 

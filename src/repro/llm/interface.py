@@ -61,10 +61,11 @@ _SCHEMA_MEMO_MAX = 512
 class SimulatedLLM:
     """Deterministic prompt-sensitive text completion; see module docstring.
 
-    The solver is one :class:`GrammarSemanticParser` per capability set,
-    kept for the instance's life, and a prompt's schema text maps to one
-    :class:`Schema` object (schemas are frozen), so the solver's schema
-    linkers and parse memo carry over from one completion to the next.
+    The solver is one :class:`GrammarSemanticParser` per (knowledge,
+    history) prompt shape, kept for the instance's life, and a prompt's
+    schema text maps to one :class:`Schema` object (schemas are frozen),
+    so the solver's schema linkers and parse memo carry over from one
+    completion to the next.
     """
 
     def __init__(
@@ -76,7 +77,7 @@ class SimulatedLLM:
         self.seed = seed
         self.calls = 0
         self.total_prompt_tokens = 0
-        self._solvers: dict[tuple, GrammarSemanticParser] = {}
+        self._solvers: dict[tuple[bool, bool], GrammarSemanticParser] = {}
         self._schemas: dict[tuple[str, str], Schema] = {}
         self._lock = threading.Lock()
 
@@ -165,11 +166,10 @@ class SimulatedLLM:
     def _solver(
         self, use_knowledge: bool, use_history: bool
     ) -> GrammarSemanticParser:
-        profile = self.profile
-        key = (profile.knows_world_synonyms, profile.languages,
-               use_knowledge, use_history)
+        key = (use_knowledge, use_history)
         parser = self._solvers.get(key)
         if parser is None:
+            profile = self.profile
             built = GrammarSemanticParser(
                 world_knowledge=profile.knows_world_synonyms,
                 fuzzy=profile.knows_world_synonyms,

@@ -36,11 +36,11 @@ import re
 import threading
 from dataclasses import dataclass, replace as dc_replace
 
-from repro.data.database import Database, Table
+from repro.data.database import Database
 from repro.data.identity import identity_token
 from repro.data.schema import Column, ColumnType, Schema, TableSchema
 from repro.data.values import Value
-from repro.errors import NLParseError
+from repro.errors import AnalysisError, NLParseError
 from repro.nlg.translate import reverse_translate
 from repro.obs import metrics as _obs_metrics
 from repro.parsers.base import (
@@ -68,6 +68,7 @@ from repro.sql.ast import (
     Star,
     TableRef,
 )
+from repro.sql.index import first_match_map
 
 #: question openers, longest first (``_strip_opener`` takes the first hit)
 _OPENERS: tuple[str, ...] = tuple(sorted((
@@ -1199,50 +1200,14 @@ def _restore_value_case(
     case, else *value*.  This is the parse's only read of database rows;
     the memo re-runs it to validate an entry."""
     try:
-        first_match = _case_map(db.table(table_name), column)
+        table = db.table(table_name)
     except Exception:
         return value
+    try:
+        first_match = first_match_map(table, column)
+    except AnalysisError:  # no such column
+        return value
     return first_match.get(value.lower(), value)
-
-
-def _case_map(table: Table, column: str) -> dict[str, str]:
-    """``stored.lower() -> stored`` for the first of each string value of
-    *table*.*column*, in row order.
-
-    Built on first lookup and kept on the table per generation, like the
-    table's indexes: rows appended since it was built only add the keys
-    that are not present yet, which keeps each key's first match.  A
-    published map is never mutated -- serve workers share tables -- so a
-    catch-up that adds keys copies it.
-    """
-    generation = table.cache_token()[0]
-    cached = getattr(table, "_case_maps", None)
-    if cached is None or cached[0] != generation:
-        cached = (generation, {})
-        table._case_maps = cached
-    rows = table.rows
-    length = len(rows)
-    entry = cached[1].get(column)
-    if entry is not None and entry[0] == length:
-        return entry[2]
-    if entry is None or entry[0] > length:
-        slot, start, first_match = table.column_index(column), 0, {}
-    else:
-        start, slot, first_match = entry
-        if all(
-            stored.lower() in first_match for row in rows[start:length]
-            if isinstance(stored := row[slot], str)
-        ):
-            cached[1][column] = (length, slot, first_match)
-            return first_match
-        first_match = dict(first_match)
-    add = first_match.setdefault
-    for row in rows[start:length]:
-        stored = row[slot]
-        if isinstance(stored, str):
-            add(stored.lower(), stored)
-    cached[1][column] = (length, slot, first_match)
-    return first_match
 
 
 def _guess_column(

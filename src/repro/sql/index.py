@@ -1,7 +1,8 @@
-"""On-demand table indexes for the cost-based optimizer.
+"""On-demand table indexes for the cost-based optimizer and value linking.
 
-Two physical index kinds, both built lazily the first time a plan asks for
-them and cached on the :class:`~repro.data.database.Table` object:
+Three index kinds, all built lazily the first time a plan (or the
+semantic parser) asks for them and cached on the
+:class:`~repro.data.database.Table` object:
 
 - :class:`HashIndex` — buckets over one or more columns' values, used for
   equality and ``IN`` scan predicates and as the persistent build side of
@@ -9,7 +10,10 @@ them and cached on the :class:`~repro.data.database.Table` object:
   of rebuilding them every execution);
 - :class:`SortedIndex` — row positions ordered by the executor's
   :func:`~repro.data.values.sort_key`, used for range predicates (bisect)
-  and ``ORDER BY ... LIMIT`` top-k short-circuits.
+  and ``ORDER BY ... LIMIT`` top-k short-circuits;
+- :class:`FirstMatchIndex` — each lower-cased string of one column mapped
+  to its first stored spelling, used by the semantic parser to restore a
+  question's literal to the database's case.
 
 The cache is keyed by the table's *generation* (:attr:`Table.version`).
 Within a generation rows only grow, so each index records the row count
@@ -42,8 +46,10 @@ from repro.data.database import Table
 from repro.data.values import Value, index_order, order_positions, sort_key
 
 __all__ = [
+    "FirstMatchIndex",
     "HashIndex",
     "SortedIndex",
+    "first_match_map",
     "hash_index",
     "sorted_index",
     "build_hash_buckets",
@@ -63,6 +69,7 @@ _NULL_KEY = sort_key(None)
 _COUNTERS = {
     "hash_builds": 0,  # from-scratch builds only
     "sorted_builds": 0,
+    "first_match_builds": 0,
     "catchups": 0,  # cached indexes extended over appended rows
     "hits": 0,
     "invalidations": 0,  # generation changes that retired a table's indexes
@@ -330,6 +337,51 @@ class SortedIndex:
         return positions
 
 
+class FirstMatchIndex:
+    """``stored.lower() -> stored`` for the first of each string value of
+    one column, in row order.
+
+    ``first`` is handed out to callers and never mutated; ``length`` is
+    the number of leading table rows the map covers.
+    """
+
+    __slots__ = ("slot", "length", "first")
+
+    def __init__(self, rows: list[tuple[Value, ...]], slot: int):
+        self.slot = slot
+        self.length = len(rows)
+        self.first: dict[str, str] = {}
+        self._add(rows, 0)
+
+    def _add(self, rows: list[tuple[Value, ...]], start: int) -> None:
+        add = self.first.setdefault
+        slot = self.slot
+        for row in rows[start:]:
+            stored = row[slot]
+            if isinstance(stored, str):
+                add(stored.lower(), stored)
+
+    def extended(self, rows: list[tuple[Value, ...]]) -> "FirstMatchIndex":
+        """A new map over all of *rows*, whose first ``self.length`` rows
+        this map already covers; ``self`` is left untouched.
+
+        Appended rows only add keys that are not present yet, which
+        keeps each key's first match; ``first`` is copied only when a
+        new key appears, and shared with ``self`` otherwise.
+        """
+        out = FirstMatchIndex.__new__(FirstMatchIndex)
+        out.slot = slot = self.slot
+        out.length = len(rows)
+        first = out.first = self.first
+        if not all(
+            stored.lower() in first for row in rows[self.length:]
+            if isinstance(stored := row[slot], str)
+        ):
+            out.first = dict(first)
+            out._add(rows, self.length)
+        return out
+
+
 def _cached(table: Table, key: tuple):
     """The index cached under *key* for *table*'s current generation:
     built on a miss, extended over rows appended since it was built."""
@@ -351,8 +403,10 @@ def _cached(table: Table, key: tuple):
         if kind == "hash":
             slots = tuple(table.column_index(c) for c in columns)
             index = HashIndex(rows, slots)
-        else:
+        elif kind == "sorted":
             index = SortedIndex(rows, table.column_index(columns))
+        else:
+            index = FirstMatchIndex(rows, table.column_index(columns))
         cache[key] = index
         _COUNTERS[kind + "_builds"] += 1
     elif index.length < length:
@@ -371,6 +425,14 @@ def hash_index(table: Table, columns: tuple[str, ...]) -> HashIndex:
 def sorted_index(table: Table, column: str) -> SortedIndex:
     """Sorted index over *column*, cached per generation."""
     return _cached(table, ("sorted", column))
+
+
+def first_match_map(table: Table, column: str) -> dict[str, str]:
+    """*column*'s lower-cased strings mapped to their first stored
+    spelling (see :class:`FirstMatchIndex`), cached per generation.
+
+    The returned dict is shared and must not be mutated."""
+    return _cached(table, ("first_match", column.lower())).first
 
 
 def index_cache_stats() -> dict[str, int]:

@@ -2350,7 +2350,6 @@ def _compile_plain_runner(select: Select, chain, ctx, source, filter_fn, info):
     limit = select.limit
     ordered = bool(order_by)
 
-    use_topk = _use_topk(select, ctx, order_fns)
     # fused sorted-index top-k: a bare single-table ORDER BY <column>
     # LIMIT k with a statically safe projection reads the first k
     # positions straight off the sorted index — every skipped row would
@@ -2358,7 +2357,7 @@ def _compile_plain_runner(select: Select, chain, ctx, source, filter_fn, info):
     # is invisible except in speed
     fused_col = None
     if (
-        use_topk
+        _use_topk(select, ctx, order_fns)
         and limit > 0
         and len(order_by) == 1
         and info.table is not None
@@ -2379,7 +2378,7 @@ def _compile_plain_runner(select: Select, chain, ctx, source, filter_fn, info):
                     .columns[cands[0][1]]
                     .name.lower()
                 )
-    if use_topk:
+    if fused_col is not None:
         ctx.meta["topk_sorts"] += 1
 
     # ---- vectorized ORDER BY keys: every sort key resolves statically
@@ -2419,8 +2418,6 @@ def _compile_plain_runner(select: Select, chain, ctx, source, filter_fn, info):
     detail = _order_detail(select)
     if fused_col is not None:
         detail = f"index top-k on {fused_col} " + detail
-    elif use_topk:
-        detail = "top-k " + detail
     node = ctx.node("project", detail.strip(), est_rows=est,
                     children=[top_node])
     if ctx.vectorize and order_fns:
@@ -2630,10 +2627,6 @@ def _compile_aggregated_runner(select: Select, chain, ctx, source, filter_fn,
     limit = select.limit
     ordered = bool(order_by)
 
-    use_topk = _use_topk(select, ctx, order_fns)
-    if use_topk:
-        ctx.meta["topk_sorts"] += 1
-
     if ctx.vectorize:
         if vec is not None:
             ctx.meta["vector_ops"] += 1
@@ -2650,7 +2643,6 @@ def _compile_aggregated_runner(select: Select, chain, ctx, source, filter_fn,
         ("group by " + ", ".join(to_sql(e) for e in select.group_by) + " "
          if select.group_by else "")
         + ("having " if select.having is not None else "")
-        + ("top-k " if use_topk else "")
         + _order_detail(select)
     )
     node = ctx.node("aggregate", detail.strip(), children=[top_node])

@@ -24,6 +24,7 @@ from repro.parsers import semantic
 from repro.parsers.base import ParseRequest
 from repro.parsers.llm import MultiStageLLMParser
 from repro.parsers.semantic import GrammarSemanticParser
+from repro.sql import index as sqlindex
 
 #: the default pipeline parser and the quickstart facade's parser
 CONFIGS = {
@@ -240,11 +241,27 @@ def test_case_maps_equal_a_fresh_scan_after_random_writes(shop, seed):
             table.invalidate_caches()
         assert _outcome(parser.parse(ask)) == _fresh({}, ask), step
         for column in ("name", "category"):
-            current = semantic._case_map(table, column)
+            current = sqlindex.first_match_map(table, column)
             assert current == _first_matches(table, column), (step, column)
             published.append((current, dict(current)))
     # a catch-up copies: no map handed out earlier was changed afterwards
     assert all(current == snapshot for current, snapshot in published)
+
+
+def test_value_linking_misses_only_on_missing_names(shop, monkeypatch):
+    db = _shop_db(shop, [(1, "Hose", "tools", 1.0)])
+    restore = semantic._restore_value_case
+    assert restore("hose", "products", "name", db) == "Hose"
+    assert restore("hose", "nowhere", "name", db) == "hose"
+    assert restore("hose", "products", "nothing", db) == "hose"
+
+    def broken(self, rows, start):
+        raise RuntimeError("map fault")
+
+    # a fault in the map code is not mistaken for a missing name
+    monkeypatch.setattr(sqlindex.FirstMatchIndex, "_add", broken)
+    with pytest.raises(RuntimeError):
+        restore("hose", "products", "category", db)
 
 
 # ----------------------------------------------------------------------
