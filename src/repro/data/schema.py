@@ -10,7 +10,10 @@ for the graph-encoder parser family (RAT-SQL, SADGA, LGESQL lineage).
 from __future__ import annotations
 
 import enum
+import threading
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import networkx as nx
 
@@ -91,6 +94,45 @@ class TableSchema:
         return (readable,) + tuple(s.lower() for s in self.synonyms)
 
 
+class SchemaStructure:
+    """The interned structural fingerprint of a schema.
+
+    ``fingerprint`` holds every table's exact name, its columns' exact
+    names, order and types, and its primary key, followed by the foreign
+    keys; it leaves out ``db_id``, ``domain`` and synonyms.  Schemas with
+    equal fingerprints share one live object, so compare structures with
+    ``is`` (equality and hash are by identity).  Plans compiled for one
+    schema run on any schema of the same structure: the plan compiler
+    reads nothing else from a schema.
+    """
+
+    __slots__ = ("fingerprint", "__weakref__")
+
+    def __init__(self, fingerprint: tuple) -> None:
+        self.fingerprint = fingerprint
+
+    def __repr__(self) -> str:
+        tables = ", ".join(entry[0] for entry in self.fingerprint[0])
+        return f"SchemaStructure({tables})"
+
+
+#: fingerprint -> its live :class:`SchemaStructure`; an entry lives as
+#: long as some schema (or a cache key) holds the structure, so the map
+#: stays as small as the set of structures in use
+_STRUCTURES: "weakref.WeakValueDictionary[tuple, SchemaStructure]" = (
+    weakref.WeakValueDictionary()
+)
+_STRUCTURES_LOCK = threading.Lock()
+
+
+def _intern_structure(fingerprint: tuple) -> SchemaStructure:
+    with _STRUCTURES_LOCK:
+        structure = _STRUCTURES.get(fingerprint)
+        if structure is None:
+            structure = _STRUCTURES[fingerprint] = SchemaStructure(fingerprint)
+        return structure
+
+
 @dataclass(frozen=True)
 class Schema:
     """A database schema: named tables plus foreign-key edges.
@@ -104,6 +146,23 @@ class Schema:
     tables: tuple[TableSchema, ...]
     foreign_keys: tuple[ForeignKey, ...] = ()
     domain: str = "general"
+
+    @cached_property
+    def structure(self) -> SchemaStructure:
+        """This schema's :class:`SchemaStructure`, computed once."""
+        tables = tuple(
+            (
+                table.name,
+                tuple((col.name, col.type) for col in table.columns),
+                table.primary_key,
+            )
+            for table in self.tables
+        )
+        keys = tuple(
+            (fk.table, fk.column, fk.ref_table, fk.ref_column)
+            for fk in self.foreign_keys
+        )
+        return _intern_structure((tables, keys))
 
     def table(self, name: str) -> TableSchema:
         """Look up a table case-insensitively; raise AnalysisError if absent."""

@@ -61,6 +61,22 @@ class Literal(Expr):
 
 
 @dataclass(frozen=True, slots=True)
+class Param(Expr):
+    """A typed placeholder for a predicate literal in a plan shape.
+
+    The parser never produces it: :mod:`repro.sql.plan` swaps the
+    comparands of a query's predicates for placeholders so that queries
+    differing only in those literals share one compiled plan.  ``index``
+    points into the bound parameter tuple; ``kind`` is the literal's
+    exact class (``type(None)`` for NULL), because compiled kernels
+    specialize on it.
+    """
+
+    index: int
+    kind: type
+
+
+@dataclass(frozen=True, slots=True)
 class ColumnRef(Expr):
     """A reference to a column, optionally qualified by table name or alias."""
 
@@ -215,8 +231,9 @@ FromClause = Union[TableRef, Join]
 class _QueryNode(Node):
     """Base of the top-level query nodes: remembers its structural hash.
 
-    A query AST is hashed by every value-keyed cache it meets (the plan
-    cache, the result-key memo, the turn key through session history),
+    A query AST is hashed by every value-keyed cache it meets (the
+    per-query entries the plan and result caches share, the turn key
+    through session history),
     and the generated dataclass hash walks the whole tree each time.
     :func:`_cached_hash` keeps the first hash in a slot that is not a
     dataclass field, so it is neither compared nor pickled (string hashes

@@ -1,6 +1,7 @@
 """``python -m repro cache`` — result-cache inspection CLI.
 
-Front-end for the versioned result cache of :mod:`repro.sql.rescache`::
+Front-end for the versioned result cache of :mod:`repro.sql.rescache`,
+plus the plan cache's counters from :mod:`repro.sql.plan`::
 
     python -m repro cache stats            # entries/bytes/hit counters
     python -m repro cache stats --json     # machine-readable
@@ -18,7 +19,11 @@ import argparse
 import json
 import sys
 
+from repro.sql import plan as _plan
 from repro.sql import rescache as _rescache
+
+#: plan-cache fields printed by ``stats``, in order
+_PLAN_FIELDS = ("size", "max_size", "hits", "misses", "template_hits")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -28,7 +33,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    stats = sub.add_parser("stats", help="print cache size and counters")
+    stats = sub.add_parser(
+        "stats", help="print result- and plan-cache size and counters"
+    )
     stats.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
     )
@@ -51,6 +58,8 @@ def main(argv: list[str] | None = None) -> int:
 def _cmd_stats(as_json: bool) -> int:
     payload = dict(_rescache.rescache_stats())
     payload["enabled"] = _rescache.rescache_enabled()
+    plans = _plan.plan_cache_stats()
+    payload["plan_cache"] = {field: plans[field] for field in _PLAN_FIELDS}
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
@@ -60,6 +69,9 @@ def _cmd_stats(as_json: bool) -> int:
         "evictions", "oversize",
     ):
         print(f"  {field}: {payload[field]}")
+    print("plan cache")
+    for field in _PLAN_FIELDS:
+        print(f"  {field}: {plans[field]}")
     return 0
 
 

@@ -38,10 +38,16 @@ compiler therefore never raises while building a plan — unresolvable
 references, missing tables, and type errors all compile into closures that
 raise at the moment the interpreter would.
 
-On top, :func:`plan_for` keeps a bounded plan cache keyed by (query AST,
-schema identity) and :func:`compile_sql` adds a parse cache, so the metric
-hot path (N candidates evaluated against one gold over many database
-variants) parses and plans each distinct query exactly once.
+On top, :func:`plan_for` keeps a bounded plan cache keyed by (query
+shape, schema structure) and :func:`compile_sql` adds a parse cache.  A
+query's *shape* swaps its predicate comparands for typed parameters
+(:class:`~repro.sql.shape.Shaper`), and a schema's *structure* is its fingerprint of
+names, types and keys (:attr:`~repro.data.schema.Schema.structure`), so
+queries that differ only in predicate values, over databases of one
+structure, share one compile: the operators read the values from the
+plan's bound ``params`` once per execution.  The metric hot path (N
+candidates evaluated against one gold over many database variants)
+parses and plans each distinct query at most once.
 
 **The cost-based optimizer** (PR 3) layers on top of the compiled engine,
 using :mod:`repro.sql.stats` (row counts, NDV, histograms) and
@@ -82,7 +88,6 @@ from operator import itemgetter
 from typing import Any, Callable
 
 from repro.data.database import Database
-from repro.data.identity import identity_token
 from repro.data.schema import Schema
 from repro.data.values import (
     Value,
@@ -107,6 +112,7 @@ from repro.sql.ast import (
     Join,
     Like,
     Literal,
+    Param,
     Query,
     ScalarSubquery,
     Select,
@@ -131,6 +137,7 @@ from repro.sql import index as _index
 from repro.sql import stats as _stats
 from repro.sql import vector as _vector
 from repro.sql.parser import parse_sql
+from repro.sql.shape import QueryEntry, Shaper, clear_query_entries, query_entry
 from repro.sql.unparser import to_sql
 
 __all__ = [
@@ -235,7 +242,7 @@ class PlanNode:
     """
 
     __slots__ = ("nid", "op", "detail", "est_rows", "est_cost", "children",
-                 "vectorized")
+                 "vectorized", "bound_detail")
 
     def __init__(self, nid, op, detail="", est_rows=None, est_cost=None,
                  children=()):
@@ -249,12 +256,23 @@ class PlanNode:
         #: (rendered as ``vectorized=yes/no``); ``None`` when it never did
         #: (toggle off, or an operator kind with no columnar form).
         self.vectorized: bool | None = None
+        #: ``fn(params) -> str`` for a detail that shows predicate values
+        #: (an index driver's); ``None`` when ``detail`` is fixed
+        self.bound_detail = None
 
-    def render(self, actuals=None, indent="", into=None, timings=None) -> str:
+    def detail_for(self, params: tuple) -> str:
+        """The detail text with the plan's bound parameter values."""
+        if self.bound_detail is None:
+            return self.detail
+        return self.bound_detail(params)
+
+    def render(self, actuals=None, indent="", into=None, timings=None,
+               params=()) -> str:
         lines = [] if into is None else into
         parts = [self.op]
-        if self.detail:
-            parts.append(self.detail)
+        detail = self.detail_for(params)
+        if detail:
+            parts.append(detail)
         annot = []
         if self.est_rows is not None:
             annot.append(f"est_rows={self.est_rows:.1f}")
@@ -270,7 +288,7 @@ class PlanNode:
             parts.append("[" + " ".join(annot) + "]")
         lines.append(indent + " ".join(parts))
         for child in self.children:
-            child.render(actuals, indent + "  ", lines, timings)
+            child.render(actuals, indent + "  ", lines, timings, params)
         if into is None:
             return "\n".join(lines)
         return ""
@@ -280,14 +298,18 @@ class _Ctx:
     """Per-compilation state: schema, subquery boundaries, plan metadata."""
 
     __slots__ = ("schema", "boundaries", "meta", "sids", "db", "optimize",
-                 "vectorize", "nids", "subplans", "nullable")
+                 "vectorize", "nids", "subplans", "nullable", "params")
 
     def __init__(self, schema: Schema, db: Database | None = None,
-                 optimize: bool = False, vectorize: bool = False) -> None:
+                 optimize: bool = False, vectorize: bool = False,
+                 params: tuple = ()) -> None:
         self.schema = schema
         self.db = db
         self.optimize = optimize
         self.vectorize = vectorize
+        #: the compiling query's parameter values: they feed selectivity
+        #: estimates only, never the compiled operators
+        self.params = params
         self.boundaries: list[dict[str, Any]] = []
         #: frames whose runtime row may be ``None`` where the expression
         #: being compiled runs: the empty-group representative of an
@@ -339,7 +361,8 @@ class _Ctx:
 
 
 class _ExecState:
-    """Per-execution state: database, subquery memo, actual row counts.
+    """Per-execution state: database, bound parameters, subquery memo,
+    actual row counts.
 
     ``timings`` is ``None`` on the normal path (operator runners test it
     with a single attribute load); :meth:`CompiledPlan.run_traced` swaps
@@ -348,10 +371,11 @@ class _ExecState:
     wall seconds for ``explain()`` and the span tree.
     """
 
-    __slots__ = ("db", "memo", "actuals", "timings")
+    __slots__ = ("db", "params", "memo", "actuals", "timings")
 
-    def __init__(self, db: Database) -> None:
+    def __init__(self, db: Database, params: tuple = ()) -> None:
         self.db = db
+        self.params = params
         self.memo: dict[Any, Any] = {}
         self.actuals: dict[int, int] = {}
         self.timings: dict[int, float] | None = None
@@ -419,7 +443,7 @@ def _analyze_safe(
     evaluated on fewer rows without hiding a data-dependent error the
     interpreter would have raised.
     """
-    if isinstance(expr, Literal):
+    if isinstance(expr, (Literal, Param)):
         return True
     if isinstance(expr, ColumnRef):
         cands = _resolve(chain, ctx, expr.table, expr.column)
@@ -564,6 +588,9 @@ def _compile_expr(
     if isinstance(expr, Literal):
         value = expr.value
         return lambda state, rows, group, proj: value
+    if isinstance(expr, Param):
+        index = expr.index
+        return lambda state, rows, group, proj: state.params[index]
     if isinstance(expr, ColumnRef):
         return _compile_colref(expr, chain, ctx, aliases)
     if isinstance(expr, FuncCall):
@@ -984,17 +1011,22 @@ def _plain_column(expr, frame: _Frame) -> str | None:
     return column_l if len(hits) == 1 else None
 
 
-def _analyze_pred(conjunct: Expr, frame: _Frame, stats):
+def _analyze_pred(conjunct: Expr, frame: _Frame, stats, params: tuple):
     """(index driver, estimated selectivity) for a safe scan conjunct.
 
     The driver describes how the scan can *produce* exactly the rows this
     conjunct admits straight from an index — equality and ``IN`` against
-    literals use the hash index, comparisons and ``BETWEEN`` the sorted
+    parameters use the hash index, comparisons and ``BETWEEN`` the sorted
     index; everything else only contributes a selectivity estimate used to
-    order the residual filters most-selective-first.  Index lookups and
-    the compiled predicate agree exactly: Python dict equality matches
-    ``compare_values(...) == 0`` for every value type, bisect over sort
-    keys matches the comparison total order, and NULL keys match nothing.
+    order the residual filters most-selective-first.  A driver holds its
+    operands as nodes, and a parameter's value is looked up by each
+    execution (:func:`_driver_values`); *params* (the compiling query's
+    values) feed the estimates.
+    Index lookups and the compiled predicate agree exactly: Python dict
+    equality matches ``compare_values(...) == 0`` for every value type,
+    bisect over sort keys matches the comparison total order, and NULL
+    keys match nothing.  A parameter's class is part of the plan's key,
+    so a NULL parameter is NULL for every execution of the plan.
     """
 
     def col_stats(name):
@@ -1007,18 +1039,19 @@ def _analyze_pred(conjunct: Expr, frame: _Frame, stats):
         if op in _COMPARISONS:
             left_col = _plain_column(conjunct.left, frame)
             right_col = _plain_column(conjunct.right, frame)
-            col = lit = None
-            if left_col is not None and isinstance(conjunct.right, Literal):
-                col, lit = left_col, conjunct.right.value
-            elif right_col is not None and isinstance(conjunct.left, Literal):
-                col, lit = right_col, conjunct.left.value
+            col = ref = None
+            if left_col is not None and _is_value(conjunct.right):
+                col, ref = left_col, conjunct.right
+            elif right_col is not None and _is_value(conjunct.left):
+                col, ref = right_col, conjunct.left
                 op = _RANGE_FLIP.get(op, op)
             if col is not None:
+                lit = _value_of(ref, params)
                 cs = col_stats(col)
                 if op == "=":
                     sel = (cs.eq_selectivity(lit) if cs is not None
                            else _stats.DEFAULT_EQ_SELECTIVITY)
-                    return ("eq", col, lit), sel
+                    return ("eq", col, ref), sel
                 if op == "<>":
                     eq = (cs.eq_selectivity(lit) if cs is not None
                           else _stats.DEFAULT_EQ_SELECTIVITY)
@@ -1028,45 +1061,45 @@ def _analyze_pred(conjunct: Expr, frame: _Frame, stats):
                 sel = (cs.range_selectivity(op, lit) if cs is not None
                        else _stats.DEFAULT_RANGE_SELECTIVITY)
                 if op in ("<", "<="):
-                    return ("range", col, None, True, lit, op == "<="), sel
-                return ("range", col, lit, op == ">=", None, True), sel
+                    return ("range", col, None, True, ref, op == "<="), sel
+                return ("range", col, ref, op == ">=", None, True), sel
             if op == "=":
                 return None, _stats.DEFAULT_EQ_SELECTIVITY
             return None, _stats.DEFAULT_RANGE_SELECTIVITY
         if op == "and":
-            _d1, s1 = _analyze_pred(conjunct.left, frame, stats)
-            _d2, s2 = _analyze_pred(conjunct.right, frame, stats)
+            _d1, s1 = _analyze_pred(conjunct.left, frame, stats, params)
+            _d2, s2 = _analyze_pred(conjunct.right, frame, stats, params)
             return None, s1 * s2
         if op == "or":
-            _d1, s1 = _analyze_pred(conjunct.left, frame, stats)
-            _d2, s2 = _analyze_pred(conjunct.right, frame, stats)
+            _d1, s1 = _analyze_pred(conjunct.left, frame, stats, params)
+            _d2, s2 = _analyze_pred(conjunct.right, frame, stats, params)
             return None, min(1.0, s1 + s2)
         return None, 0.25
     if isinstance(conjunct, Between) and not conjunct.negated:
         col = _plain_column(conjunct.expr, frame)
         if (
             col is not None
-            and isinstance(conjunct.low, Literal)
-            and isinstance(conjunct.high, Literal)
+            and _is_value(conjunct.low)
+            and _is_value(conjunct.high)
         ):
-            low, high = conjunct.low.value, conjunct.high.value
+            low_ref, high_ref = conjunct.low, conjunct.high
+            low, high = _value_of(low_ref, params), _value_of(high_ref, params)
             if low is None or high is None:
                 return None, 0.0
             cs = col_stats(col)
             sel = (cs.between_selectivity(low, high) if cs is not None
                    else _stats.DEFAULT_RANGE_SELECTIVITY)
-            return ("range", col, low, True, high, True), sel
+            return ("range", col, low_ref, True, high_ref, True), sel
         return None, _stats.DEFAULT_RANGE_SELECTIVITY
     if isinstance(conjunct, InList) and not conjunct.negated:
         col = _plain_column(conjunct.expr, frame)
-        if col is not None and all(
-            isinstance(item, Literal) for item in conjunct.items
-        ):
-            values = tuple(item.value for item in conjunct.items)
+        if col is not None and all(_is_value(item) for item in conjunct.items):
+            refs = conjunct.items
+            values = tuple(_value_of(ref, params) for ref in refs)
             cs = col_stats(col)
             sel = (cs.in_selectivity(values) if cs is not None
                    else min(1.0, _stats.DEFAULT_EQ_SELECTIVITY * len(values)))
-            return ("in", col, values), sel
+            return ("in", col, refs), sel
         return None, min(1.0, 0.1 * max(len(conjunct.items), 1))
     if isinstance(conjunct, IsNull):
         col = _plain_column(conjunct.expr, frame)
@@ -1075,22 +1108,56 @@ def _analyze_pred(conjunct: Expr, frame: _Frame, stats):
             return None, cs.null_selectivity(conjunct.negated)
         return None, 0.9 if conjunct.negated else 0.1
     if isinstance(conjunct, UnaryOp) and conjunct.op == "not":
-        _d, sel = _analyze_pred(conjunct.operand, frame, stats)
+        _d, sel = _analyze_pred(conjunct.operand, frame, stats, params)
         return None, max(0.0, 1.0 - sel)
     if isinstance(conjunct, Like):
         return None, 0.25
     return None, 0.25
 
 
-def _driver_detail(driver) -> str:
+def _is_value(expr: Expr) -> bool:
+    return expr.__class__ is Param or expr.__class__ is Literal
+
+
+def _value_of(ref: Expr, params: tuple) -> Value:
+    """The value of a literal, or of a parameter bound to *params*."""
+    return ref.value if ref.__class__ is Literal else params[ref.index]
+
+
+def _driver_values(driver, params: tuple) -> tuple:
+    """*driver* with its operand nodes replaced by their values."""
     kind = driver[0]
     if kind == "eq":
-        return f"{driver[1]} = {driver[2]!r}"
+        return (kind, driver[1], _value_of(driver[2], params))
     if kind == "in":
-        return f"{driver[1]} IN {driver[2]!r}"
-    low = "" if driver[2] is None else f"{driver[2]!r} <{'=' if driver[3] else ''} "
-    high = "" if driver[4] is None else f" <{'=' if driver[5] else ''} {driver[4]!r}"
-    return f"{low}{driver[1]}{high}"
+        return (kind, driver[1],
+                tuple(_value_of(ref, params) for ref in driver[2]))
+    low, high = driver[2], driver[4]
+    return (
+        kind, driver[1],
+        None if low is None else _value_of(low, params), driver[3],
+        None if high is None else _value_of(high, params), driver[5],
+    )
+
+
+def _indexable(bound) -> bool:
+    """Whether an index answers the bound driver exactly: a NaN is not
+    ordered against any number, and no index order reproduces how
+    ``compare_values`` answers those pairs."""
+    values = bound[2] if bound[0] == "in" else bound[2::2]
+    return not any(v.__class__ is float and v != v for v in values)
+
+
+def _driver_detail(driver, params: tuple) -> str:
+    kind, column, *rest = _driver_values(driver, params)
+    if kind == "eq":
+        return f"{column} = {rest[0]!r}"
+    if kind == "in":
+        return f"{column} IN {rest[0]!r}"
+    low, low_incl, high, high_incl = rest
+    low = "" if low is None else f"{low!r} <{'=' if low_incl else ''} "
+    high = "" if high is None else f" <{'=' if high_incl else ''} {high!r}"
+    return f"{low}{column}{high}"
 
 
 def _make_opt_scan(name: str, fns_all, rest_fns, driver, nid: int, semi=None):
@@ -1111,18 +1178,23 @@ def _make_opt_scan(name: str, fns_all, rest_fns, driver, nid: int, semi=None):
         table = state.db.table(name)
         raw = table.rows
         rows = raw
+        bound = None
         if driver is not None and len(raw) >= _index.MIN_INDEX_ROWS:
-            kind = driver[0]
+            bound = _driver_values(driver, state.params)
+            if not _indexable(bound):
+                bound = None
+        if bound is not None:
+            kind = bound[0]
             if kind == "eq":
-                rows = _index.hash_index(table, (driver[1],)).lookup(driver[2])
+                rows = _index.hash_index(table, (bound[1],)).lookup(bound[2])
             elif kind == "in":
-                rows = _index.hash_index(table, (driver[1],)).lookup_many(
-                    raw, driver[2]
+                rows = _index.hash_index(table, (bound[1],)).lookup_many(
+                    raw, bound[2]
                 )
             else:
-                idx = _index.sorted_index(table, driver[1])
+                idx = _index.sorted_index(table, bound[1])
                 positions = idx.range_positions(
-                    driver[2], driver[4], driver[3], driver[5]
+                    bound[2], bound[4], bound[3], bound[5]
                 )
                 rows = [raw[p] for p in positions]
             fns = rest_fns
@@ -1213,10 +1285,11 @@ def _make_vector_scan(name: str, kernels, semi, nid: int):
         if raw:
             _vector.BATCHES.inc()
             sel = range(len(raw))
+            params = state.params
             for kernel in kernels:
                 if _deadline._ACTIVE:
                     _deadline.checkpoint(scan_label)
-                sel = kernel(batch, sel)
+                sel = kernel(batch, sel, params)
                 if not sel:
                     break
             rows = [raw[i] for i in sel]
@@ -1524,7 +1597,7 @@ def _build_opt_scan(ctx: _Ctx, name: str, local: _Frame, preds, semi):
     base = float(stats.row_count) if stats is not None else None
     analyzed = []
     for conjunct, fn in preds:
-        driver, sel = _analyze_pred(conjunct, local, stats)
+        driver, sel = _analyze_pred(conjunct, local, stats, ctx.params)
         analyzed.append((sel, driver, conjunct, fn))
     analyzed.sort(key=lambda item: item[0])
     driver = None
@@ -1543,15 +1616,15 @@ def _build_opt_scan(ctx: _Ctx, name: str, local: _Frame, preds, semi):
             est *= sel
         if semi is not None:
             est *= 0.5
-    op = "scan"
-    detail = name
-    if driver is not None:
-        op = "index-scan"
-        detail = f"{name} [{_driver_detail(driver)}]"
+    suffix = " semi-join" if semi is not None else ""
+    if driver is None:
+        node = ctx.node("scan", name + suffix, est_rows=est, est_cost=base)
+    else:
         ctx.meta["index_scans"] += 1
-    if semi is not None:
-        detail += " semi-join"
-    node = ctx.node(op, detail, est_rows=est, est_cost=base)
+        node = ctx.node("index-scan", est_rows=est, est_cost=base)
+        node.bound_detail = (
+            lambda params: f"{name} [{_driver_detail(driver, params)}]{suffix}"
+        )
     # ---- vectorized filter scan: only when the cost model picked no
     # index driver (an index already skips non-matching rows; a kernel
     # sweep over the full batch would be strictly more work) ----
@@ -2797,22 +2870,28 @@ def _compile_query_runner(query: Query, outer_chain: list[_Frame], ctx: _Ctx):
 class CompiledPlan:
     """A query lowered to physical operators, reusable across executions.
 
-    Valid for any :class:`Database` whose schema matches the one the plan
-    was compiled against (the test-suite metric runs one plan over all
-    fuzzed database variants).  A plan compiled with a database borrows
-    that database's statistics for its estimates; running it against a
-    different schema-compatible database still returns identical results —
+    Valid for any :class:`Database` whose schema has the structure of the
+    one the plan was compiled against (the test-suite metric runs one
+    plan over all fuzzed database variants).  The operators are compiled
+    from the query's shape (:class:`~repro.sql.shape.Shaper`) and read
+    the predicate values from ``params``; :meth:`bind` shares them with
+    another query of the same shape.  A plan compiled with a database
+    borrows that database's statistics, and the compiling query's values,
+    for its estimates; running it against another schema-compatible
+    database, or bound to other values, still returns identical results —
     the estimates just stop being representative.
     """
 
-    __slots__ = ("query", "schema", "meta", "_runner", "root", "subplans",
-                 "optimized", "vectorized")
+    __slots__ = ("query", "schema", "params", "meta", "_runner", "root",
+                 "subplans", "optimized", "vectorized", "_shared")
 
     def __init__(self, query: Query, schema: Schema, meta, runner,
                  root=None, subplans=(), optimized: bool = False,
-                 vectorized: bool = False) -> None:
+                 vectorized: bool = False, params: tuple = ()) -> None:
         self.query = query
         self.schema = schema
+        #: the predicate values this plan runs with, by parameter index
+        self.params = params
         self.meta = meta
         self._runner = runner
         self.root = root
@@ -2821,12 +2900,27 @@ class CompiledPlan:
         #: compiled with the vectorizer enabled (``meta["vector_ops"]``
         #: tells how many operators actually took a columnar kernel)
         self.vectorized = vectorized
+        #: the compiled plan whose operators this one runs (``None``
+        #: when they are its own)
+        self._shared: CompiledPlan | None = None
+
+    def bind(self, query: Query, schema: Schema, params: tuple) -> "CompiledPlan":
+        """This plan's operators, run for *query* on *schema* with *params*.
+
+        *query* must have this plan's shape and *schema* its structure;
+        :func:`plan_for` guarantees both.
+        """
+        plan = CompiledPlan(query, schema, self.meta, self._runner, self.root,
+                            (), self.optimized, self.vectorized, params)
+        plan.subplans = self.subplans
+        plan._shared = self._shared or self
+        return plan
 
     def run(self, db: Database) -> Result:
         """Execute against *db* and return the :class:`Result`."""
         if _deadline._ACTIVE:
             _deadline.checkpoint("plan run")
-        return self._runner(_ExecState(db), ())
+        return self._runner(_ExecState(db, self.params), ())
 
     def run_traced(self, db: Database) -> tuple[Result, _ExecState]:
         """Execute with profiling on: returns (result, execution state).
@@ -2837,7 +2931,7 @@ class CompiledPlan:
         Results are identical to :meth:`run` — the differential test in
         ``tests/test_obs.py`` enforces it.
         """
-        state = _ExecState(db)
+        state = _ExecState(db, self.params)
         state.timings = {}
         start = _obs_trace.now()
         try:
@@ -2858,13 +2952,16 @@ class CompiledPlan:
         the units that are timed separately (root, subqueries); execution
         errors are reported inline rather than raised (EXPLAIN should
         never fail on a query whose *execution* fails — that is the
-        answer being asked for).
+        answer being asked for).  Details show this plan's own predicate
+        values; estimates come from the database and values that compiled
+        the operators.
         """
         actuals = None
         timings = None
         error = None
+        params = self.params
         if db is not None:
-            state = _ExecState(db)
+            state = _ExecState(db, params)
             state.timings = {}
             start = _obs_trace.now()
             try:
@@ -2875,9 +2972,12 @@ class CompiledPlan:
             actuals = state.actuals
             timings = state.timings
         header = "optimized" if self.optimized else "unoptimized"
-        lines = [f"-- plan ({header})", self.root.render(actuals, timings=timings)]
+        lines = [
+            f"-- plan ({header})",
+            self.root.render(actuals, timings=timings, params=params),
+        ]
         for subplan in self.subplans:
-            lines.append(subplan.render(actuals, timings=timings))
+            lines.append(subplan.render(actuals, timings=timings, params=params))
         if error is not None:
             lines.append(f"-- execution failed: {error}")
         return "\n".join(lines)
@@ -2892,6 +2992,8 @@ def compile_query(
 ) -> CompiledPlan:
     """Lower *query* into a :class:`CompiledPlan` for *schema* (uncached).
 
+    The operators are compiled from the query's shape, with its predicate
+    values as the plan's ``params`` (:class:`~repro.sql.shape.Shaper`).
     With the optimizer on, *db* supplies table statistics for selectivity
     and join-order estimation; without it the stats-free optimizations
     (index drivers, predicate ordering, top-k sorts) still apply.  With
@@ -2904,10 +3006,13 @@ def compile_query(
         optimize = _OPTIMIZER_ENABLED
     if vectorize is None:
         vectorize = _vector.vector_enabled()
-    ctx = _Ctx(schema, db if optimize else None, optimize, vectorize)
-    runner, root = _compile_query_runner(query, [], ctx)
+    shaper = Shaper(build=True)
+    shape = shaper.query(query, False)
+    params = tuple(shaper.params)
+    ctx = _Ctx(schema, db if optimize else None, optimize, vectorize, params)
+    runner, root = _compile_query_runner(shape, [], ctx)
     return CompiledPlan(query, schema, ctx.meta, runner, root, ctx.subplans,
-                        optimize, vectorize)
+                        optimize, vectorize, params)
 
 
 def explain(sql: str, db: Database) -> str:
@@ -2922,10 +3027,13 @@ def _env_size(name: str, default: int) -> int:
         return default
 
 
+#: (shape, schema structure, optimizer flag, vectorizer flag) -> the
+#: compiled plan whose operators every query of that key shares
 _PLAN_CACHE: "OrderedDict[tuple, CompiledPlan]" = OrderedDict()
 _PLAN_CACHE_MAX = _env_size("REPRO_SQL_PLAN_CACHE_SIZE", 512)
 _plan_hits = 0
 _plan_misses = 0
+_template_hits = 0
 
 _PARSE_CACHE: "OrderedDict[str, Query]" = OrderedDict()
 _PARSE_CACHE_MAX = _env_size("REPRO_SQL_PARSE_CACHE_SIZE", 2048)
@@ -2936,9 +3044,9 @@ _parse_misses = 0
 #: evaluation driver's thread-pool fallback and the serving workers share
 #: this module, and an unguarded ``move_to_end``/``popitem`` pair racing a
 #: concurrent eviction corrupts the OrderedDict.  It is held only to look
-#: up and to insert, never across a parse or a compile, so a hit never
-#: waits behind another thread's miss.  Uncontended acquisition is tens of
-#: nanoseconds — noise next to even a cached-plan execution.
+#: up, to insert and to read the statistics, never across a parse or a
+#: compile, so a hit never waits behind another thread's miss.  Uncontended acquisition is tens of nanoseconds — noise
+#: next to even a cached-plan execution.
 _CACHE_LOCK = threading.RLock()
 
 
@@ -2947,34 +3055,61 @@ def plan_for(
 ) -> CompiledPlan:
     """Compile-or-fetch the plan for (*query*, *schema*).
 
-    The cache is a bounded LRU; AST nodes are frozen dataclasses, so the
-    query itself is the key (plus the optimizer and vectorizer flags, so
-    toggling either never resurrects plans built under the other
-    setting).  *db*
-    only feeds statistics into the first compile — the cached plan runs
-    against any schema-compatible database.  The compile runs outside
-    the cache lock; when two threads miss on one key at once, both
-    compile and the first insert wins (plans are immutable, so the
-    loser's copy is simply dropped).
+    Plans are compiled once per query shape and schema structure: the
+    bounded LRU is keyed by the query's :class:`QueryEntry` shape, the
+    schema's :attr:`~repro.data.schema.Schema.structure`, and the
+    optimizer and vectorizer flags (so toggling either never resurrects
+    plans built under the other setting).  Queries that differ only in
+    predicate values, run on databases of one structure, share the
+    compiled operators; the returned plan binds them to *query*'s values
+    and *schema*, and an exact repeat returns the same object.  *db* only
+    feeds statistics into the first compile.  The compile runs outside
+    the cache lock; when two threads miss on one key at once, both compile
+    and the first insert wins (plans are immutable, so the loser's copy is
+    simply dropped).
     """
-    global _plan_hits, _plan_misses
-    optimize, vectorize = _OPTIMIZER_ENABLED, _vector.vector_enabled()
+    return plan_for_entry(query_entry(query), schema, db)
+
+
+def plan_for_entry(
+    entry: QueryEntry, schema: Schema, db: Database | None = None
+) -> CompiledPlan:
+    """:func:`plan_for` for a query whose :class:`QueryEntry` is known."""
+    global _plan_hits, _plan_misses, _template_hits
+    optimize, vectorize = _OPTIMIZER_ENABLED, _vector._VECTOR_ENABLED
+    key = (entry.shape, schema.structure, optimize, vectorize)
+    bound = entry.bound
     with _CACHE_LOCK:
-        key = (query, identity_token(schema), optimize, vectorize)
-        plan = _PLAN_CACHE.get(key)
-        if plan is not None:
+        template = _PLAN_CACHE.get(key)
+        if template is not None:
             _PLAN_CACHE.move_to_end(key)
             _plan_hits += 1
-            return plan
-        _plan_misses += 1
-    # the flags are passed, not re-read: a toggle flipped by another
-    # thread during the compile must not file a plan under the wrong key
-    if _obs_trace._ENABLED:  # compile misses only; hits stay span-free
-        with _obs_trace.span("repro.sql.plan.compile", optimized=optimize):
-            plan = compile_query(query, schema, db, optimize, vectorize)
+            if (
+                bound is not None
+                and (bound._shared or bound) is template
+                and bound.schema is schema
+            ):
+                return bound
+            _template_hits += 1
+        else:
+            _plan_misses += 1
+    if template is None:
+        # the flags are passed, not re-read: a toggle flipped by another
+        # thread during the compile must not file a plan under the wrong key
+        if _obs_trace._ENABLED:  # compile misses only; hits stay span-free
+            with _obs_trace.span("repro.sql.plan.compile", optimized=optimize):
+                template = compile_query(
+                    entry.query, schema, db, optimize, vectorize
+                )
+        else:
+            template = compile_query(entry.query, schema, db, optimize, vectorize)
+        template = _insert(_PLAN_CACHE, key, template, _PLAN_CACHE_MAX)
+    if template.query is entry.query and template.schema is schema:
+        bound = template
     else:
-        plan = compile_query(query, schema, db, optimize, vectorize)
-    return _insert(_PLAN_CACHE, key, plan, _PLAN_CACHE_MAX)
+        bound = template.bind(entry.query, schema, entry.params)
+    entry.bound = bound
+    return bound
 
 
 def parse_sql_cached(sql: str) -> Query:
@@ -3003,11 +3138,15 @@ def parse_sql_cached(sql: str) -> Query:
 
 def _insert(cache: OrderedDict, key, value, max_size: int):
     """Store *value* unless a racing miss stored one first; return the
-    stored one, evicting the oldest entries past *max_size*."""
+    stored one.  The oldest entries go first, before the insert, so the
+    cache never holds more than *max_size*."""
     with _CACHE_LOCK:
-        value = cache.setdefault(key, value)
-        while len(cache) > max_size:
+        stored = cache.get(key)
+        if stored is not None:
+            return stored
+        while len(cache) >= max_size:
             cache.popitem(last=False)
+        cache[key] = value
         return value
 
 
@@ -3019,23 +3158,33 @@ def compile_sql(
 
 
 def plan_cache_stats() -> dict[str, int]:
-    """Plan-cache effectiveness counters (size / hits / misses)."""
-    return {
-        "size": len(_PLAN_CACHE),
-        "max_size": _PLAN_CACHE_MAX,
-        "hits": _plan_hits,
-        "misses": _plan_misses,
-    }
+    """Plan-cache effectiveness counters, read as one snapshot.
+
+    ``hits`` counts the compiles avoided and ``misses`` the compiles run;
+    ``template_hits`` counts the hits that bound the cached operators to
+    another query or schema than the caller's plan last returned (the
+    other hits returned that very plan again).
+    """
+    with _CACHE_LOCK:
+        return {
+            "size": len(_PLAN_CACHE),
+            "max_size": _PLAN_CACHE_MAX,
+            "hits": _plan_hits,
+            "misses": _plan_misses,
+            "template_hits": _template_hits,
+        }
 
 
 def parse_cache_stats() -> dict[str, int]:
-    """Parse-cache effectiveness counters (size / hits / misses)."""
-    return {
-        "size": len(_PARSE_CACHE),
-        "max_size": _PARSE_CACHE_MAX,
-        "hits": _parse_hits,
-        "misses": _parse_misses,
-    }
+    """Parse-cache effectiveness counters (size / hits / misses), read as
+    one snapshot."""
+    with _CACHE_LOCK:
+        return {
+            "size": len(_PARSE_CACHE),
+            "max_size": _PARSE_CACHE_MAX,
+            "hits": _parse_hits,
+            "misses": _parse_misses,
+        }
 
 
 def configure_caches(
@@ -3079,12 +3228,14 @@ def clear_plan_caches() -> None:
     the result cache (:mod:`repro.sql.rescache`) is cleared through its
     own :func:`~repro.sql.rescache.clear_result_cache`.
     """
-    global _plan_hits, _plan_misses, _parse_hits, _parse_misses
+    global _plan_hits, _plan_misses, _template_hits, _parse_hits, _parse_misses
     with _CACHE_LOCK:
         _PLAN_CACHE.clear()
         _PARSE_CACHE.clear()
+        clear_query_entries()
         _plan_hits = 0
         _plan_misses = 0
+        _template_hits = 0
         _parse_hits = 0
         _parse_misses = 0
     from repro.sql import rescache as _rescache
@@ -3108,11 +3259,13 @@ def attach_operator_spans(span, plan: CompiledPlan, state: _ExecState) -> None:
         return
     actuals = state.actuals
     timings = state.timings or {}
+    params = state.params
 
     def build(node: PlanNode) -> _obs_trace.Span:
         child = _obs_trace.Span("sql.op." + node.op)
-        if node.detail:
-            child.attrs["detail"] = node.detail
+        detail = node.detail_for(params)
+        if detail:
+            child.attrs["detail"] = detail
         if node.est_rows is not None:
             child.attrs["est_rows"] = round(node.est_rows, 1)
         if node.nid in actuals:
@@ -3135,6 +3288,9 @@ _registry = _obs_metrics.get_registry()
 _registry.gauge("repro.sql.plan.cache.hits", fn=lambda: _plan_hits)
 _registry.gauge("repro.sql.plan.cache.misses", fn=lambda: _plan_misses)
 _registry.gauge("repro.sql.plan.cache.size", fn=lambda: len(_PLAN_CACHE))
+_registry.gauge(
+    "repro.sql.plan.cache.template_hits", fn=lambda: _template_hits
+)
 _registry.gauge("repro.sql.parse.cache.hits", fn=lambda: _parse_hits)
 _registry.gauge("repro.sql.parse.cache.misses", fn=lambda: _parse_misses)
 _registry.gauge("repro.sql.parse.cache.size", fn=lambda: len(_PARSE_CACHE))

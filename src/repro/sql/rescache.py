@@ -16,11 +16,15 @@ interactive-NLI traffic shape the survey describes.  It sits between
   swap naturally misses; stale rows are never served.  The optimizer and
   vectorizer flags key the entry too, keeping the differential toggles
   honest.
-- **Interned ASTs.** A memo maps each AST value to the first equal AST
-  seen and the table names it reads.  Keys hold that interned AST, so a
-  probe with a fresh, equal AST builds a key whose first field *is* the
-  stored key's, and the dict compare stops at the identity check instead
-  of walking two trees field by field.
+- **Interned ASTs.** Each AST value has one
+  :class:`~repro.sql.shape.QueryEntry`, made by one walk and shared with
+  the plan cache: it holds the first equal AST seen, the table names the
+  query reads, and the shape :func:`~repro.sql.plan.plan_for` compiles.
+  Keys hold that interned AST, so a probe with a fresh, equal AST builds
+  a key whose first field *is* the stored key's, and the dict compare
+  stops at the identity check instead of walking two trees field by
+  field.  A miss hands the same entry to the plan cache: one lookup
+  serves both.
 - **Eviction** is cost-aware LRU: each entry carries an estimated result
   byte size and the cache holds at most ``REPRO_SQL_RESCACHE_BYTES``
   (default 32 MiB, resizable via :func:`configure_result_cache` or
@@ -57,7 +61,8 @@ from repro.errors import SQLError
 from repro.obs import metrics as _obs_metrics
 from repro.sql import plan as _plan
 from repro.sql import vector as _vector
-from repro.sql.ast import Query, TableRef, walk
+from repro.sql.ast import Query
+from repro.sql.shape import QueryEntry, clear_query_entries, query_entry
 from repro.sql.executor import Result
 
 __all__ = [
@@ -100,33 +105,6 @@ _PEEK_HITS = _registry.counter("repro.sql.rescache.peek.hits")
 _PEEK_MISSES = _registry.counter("repro.sql.rescache.peek.misses")
 _registry.gauge("repro.sql.rescache.bytes", fn=lambda: _BYTES)
 _registry.gauge("repro.sql.rescache.entries", fn=lambda: len(_CACHE))
-
-
-#: query AST (by value) -> (interned AST, referenced table names).  The
-#: interned AST is the first equal AST seen; result keys and plan lookups
-#: use it (see module docstring).  Bounded, oldest entry evicted first,
-#: and emptied by :func:`clear_result_cache`.  Reads take no lock: a hit
-#: is one dict probe on the query's cached hash, while an LRU touch would
-#: need the lock on every hit.
-_KEY_MEMO: dict[Query, tuple] = {}
-_KEY_MEMO_MAX = 512  # the plan cache's default bound
-
-
-def _query_key_info(query: Query) -> tuple:
-    info = _KEY_MEMO.get(query)
-    if info is not None:
-        return info
-    names = tuple(
-        sorted(
-            {node.name.lower() for node in walk(query) if isinstance(node, TableRef)}
-        )
-    )
-    with _LOCK:
-        # a racing insert of an equal AST wins: keep one interned object
-        info = _KEY_MEMO.setdefault(query, (query, names))
-        if len(_KEY_MEMO) > _KEY_MEMO_MAX:
-            del _KEY_MEMO[next(iter(_KEY_MEMO))]
-    return info
 
 
 # ----------------------------------------------------------------------
@@ -220,13 +198,12 @@ def database_state_token(db: Database) -> tuple:
 # ----------------------------------------------------------------------
 # the cache proper
 # ----------------------------------------------------------------------
-def _result_key(query: Query, db: Database) -> tuple | None:
-    """The cache key of *query* on *db*, led by the interned AST; None
-    when a table is missing (the query must then execute uncached — the
-    analysis error travels back as a value, like any other failure)."""
-    interned, names = _query_key_info(query)
+def _result_key(entry: QueryEntry, db: Database) -> tuple | None:
+    """The cache key of *entry*'s query on *db*, led by the interned AST;
+    None when a table is missing (the query must then execute uncached —
+    the analysis error travels back as a value, like any other failure)."""
     tokens = []
-    for name in names:
+    for name in entry.tables:
         table = db.tables.get(name)
         if table is None:
             return None
@@ -234,7 +211,7 @@ def _result_key(query: Query, db: Database) -> tuple | None:
     # direct flag reads: this is the hot probe path and the accessor
     # functions are pure attribute returns
     return (
-        interned,
+        entry.query,
         identity_token(db),
         tuple(tokens),
         _plan._OPTIMIZER_ENABLED,
@@ -248,28 +225,28 @@ def _lookup_or_run(query: Query, db: Database) -> tuple:
     Execution happens outside the lock; a racing duplicate store is
     idempotent.
     """
-    key = _result_key(query, db)
+    entry = query_entry(query)
+    key = _result_key(entry, db)
     if key is None:
         # missing table: execute uncached (no token to stamp an entry
         # with), but keep the execute_or_error contract — failures come
         # back as values here and only cached_execute re-raises them
         try:
-            return _plan.plan_for(query, db.schema, db).run(db), False
+            return _plan.plan_for_entry(entry, db.schema, db).run(db), False
         except SQLError as exc:
             return exc, False
     with _LOCK:
-        entry = _CACHE.get(key)
-        if entry is not None:
+        stored = _CACHE.get(key)
+        if stored is not None:
             _CACHE.move_to_end(key)
             _HITS.inc()
-            value = entry[0]
+            value = stored[0]
             if isinstance(value, SQLError):
                 return _copy_error(value), True
             return value, True
         _MISSES.inc()
     try:
-        # the interned AST: the plan cache is keyed by AST value too
-        result = _plan.plan_for(key[0], db.schema, db).run(db)
+        result = _plan.plan_for_entry(entry, db.schema, db).run(db)
     except SQLError as exc:
         # store a traceback-free clone; the shared entry must neither
         # pin this frame stack nor have hits mutate its __traceback__
@@ -336,7 +313,7 @@ def peek(query: Query, db: Database):
     """
     if not _ENABLED:
         return None
-    key = _result_key(query, db)
+    key = _result_key(query_entry(query), db)
     if key is None:
         return None
     with _LOCK:
@@ -398,11 +375,12 @@ def configure_result_cache(max_bytes: int | None = None) -> None:
 
 
 def clear_result_cache() -> None:
-    """Drop every entry (and the key memo) and zero the counters."""
+    """Drop every entry (and the query entries whose interned ASTs the
+    keys hold) and zero the counters."""
     global _BYTES
+    clear_query_entries()
     with _LOCK:
         _CACHE.clear()
-        _KEY_MEMO.clear()
         _BYTES = 0
         _HITS.reset()
         _MISSES.reset()

@@ -10,9 +10,11 @@ aggregates in tight list comprehensions instead of per-row call chains.
 
 Three kernel families:
 
-- **predicate kernels** (:func:`compile_predicate`) take a batch plus a
-  selection vector (row indices) and return the subset of indices where
-  the predicate is TRUE under three-valued logic.  Only *statically safe*
+- **predicate kernels** (:func:`compile_predicate`) take a batch, a
+  selection vector (row indices) and the plan's bound parameters, and
+  return the subset of indices where the predicate is TRUE under
+  three-valued logic.  A kernel over a parameter specializes on its
+  class at compile time and reads its value once per call.  Only *statically safe*
   expressions compile — the same subset :func:`repro.sql.plan._analyze_safe`
   admits for filter pushdown (comparisons, AND/OR/NOT, BETWEEN, IN-lists,
   LIKE, IS NULL over plain columns and literals) — so a kernel can never
@@ -66,6 +68,7 @@ from repro.sql.ast import (
     IsNull,
     Like,
     Literal,
+    Param,
     UnaryOp,
 )
 from repro.sql.executor import (
@@ -198,11 +201,13 @@ _registry.gauge(
 # ----------------------------------------------------------------------
 # predicate kernels
 # ----------------------------------------------------------------------
-#: ``fn(batch, sel) -> list[int]``: indices of *sel* where the predicate
-#: is TRUE (three-valued: FALSE and UNKNOWN rows are dropped alike).
-PredicateKernel = Callable[[ColumnBatch, Iterable[int]], list[int]]
-#: ``fn(batch, sel) -> list[Value]``: one value per selected row.
-ValueKernel = Callable[[ColumnBatch, Iterable[int]], list[Value]]
+#: ``fn(batch, sel, params) -> list[int]``: indices of *sel* where the
+#: predicate is TRUE (three-valued: FALSE and UNKNOWN rows are dropped
+#: alike).  *params* is the plan's bound parameter tuple; a kernel over a
+#: :class:`~repro.sql.ast.Param` reads its value once per call.
+PredicateKernel = Callable[[ColumnBatch, Iterable[int], tuple], list[int]]
+#: ``fn(batch, sel, params) -> list[Value]``: one value per selected row.
+ValueKernel = Callable[[ColumnBatch, Iterable[int], tuple], list[Value]]
 
 _SlotOf = Callable[[ColumnRef], "int | None"]
 
@@ -217,9 +222,10 @@ _CMP_TESTS = {
 _FLIP = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 _NUM = (int, float)  # includes bool, matching compare_values' number family
+_NULL = type(None)
 
 
-def _empty(batch: ColumnBatch, sel) -> list[int]:
+def _empty(batch: ColumnBatch, sel, params) -> list[int]:
     return []
 
 
@@ -227,6 +233,40 @@ def _slot(expr: Expr, slot_of: _SlotOf) -> int | None:
     if isinstance(expr, ColumnRef):
         return slot_of(expr)
     return None
+
+
+def _operand(expr: Expr):
+    """``(kind, read, fixed)`` for a literal or parameter operand.
+
+    ``kind`` is the value's exact class and ``read(params)`` returns the
+    value: a literal's own (``fixed``), or the bound parameter's.
+    Anything else gives ``None``.
+    """
+    if isinstance(expr, Literal):
+        value = expr.value
+        return value.__class__, (lambda params: value), True
+    if isinstance(expr, Param):
+        return expr.kind, itemgetter(expr.index), False
+    return None
+
+
+def _as_number(value: Value) -> Value:
+    return int(value) if value.__class__ is bool else value
+
+
+def _bind_column(rows_fn, slot: int, read, fixed: bool) -> PredicateKernel:
+    """Kernel ``rows_fn(column, sel, read(params))`` over column *slot*.
+
+    The argument is read once per call, or once here when *fixed*.
+    """
+    if fixed:
+        arg = read(())
+        return lambda b, sel, params: (
+            rows_fn(b.column(slot), sel, arg) if sel else []
+        )
+    return lambda b, sel, params: (
+        rows_fn(b.column(slot), sel, read(params)) if sel else []
+    )
 
 
 def compile_predicate(expr: Expr, slot_of: _SlotOf) -> PredicateKernel | None:
@@ -239,7 +279,7 @@ def compile_predicate(expr: Expr, slot_of: _SlotOf) -> PredicateKernel | None:
     if isinstance(expr, Literal):
         value = expr.value
         if value is not None and _truthy(value):
-            return lambda batch, sel: list(sel)
+            return lambda batch, sel, params: list(sel)
         return _empty
     if isinstance(expr, BinaryOp):
         op = expr.op
@@ -251,19 +291,21 @@ def compile_predicate(expr: Expr, slot_of: _SlotOf) -> PredicateKernel | None:
             # TRUE(a AND b) == TRUE(a) ∩ TRUE(b) even with unknowns, and
             # safe conjuncts are side-effect-free, so sequential
             # application is exact
-            return lambda batch, sel: right(batch, left(batch, sel))
+            return lambda batch, sel, params: right(
+                batch, left(batch, sel, params), params
+            )
         if op == "or":
             left = compile_predicate(expr.left, slot_of)
             right = compile_predicate(expr.right, slot_of)
             if left is None or right is None:
                 return None
 
-            def or_kernel(batch, sel):
+            def or_kernel(batch, sel, params):
                 sel = list(sel)
-                hits = set(left(batch, sel))
+                hits = set(left(batch, sel, params))
                 if len(hits) == len(sel):
                     return sel
-                hits.update(right(batch, sel))
+                hits.update(right(batch, sel, params))
                 return [i for i in sel if i in hits]
 
             return or_kernel
@@ -275,9 +317,9 @@ def compile_predicate(expr: Expr, slot_of: _SlotOf) -> PredicateKernel | None:
         if inner is None:
             return None
 
-        def not_kernel(batch, sel):
+        def not_kernel(batch, sel, params):
             sel = list(sel)
-            values = inner(batch, sel)
+            values = inner(batch, sel, params)
             return [
                 i for i, v in zip(sel, values)
                 if v is not None and not _truthy(v)
@@ -299,14 +341,14 @@ def _compile_cmp(expr: BinaryOp, slot_of: _SlotOf) -> PredicateKernel | None:
     op = expr.op
     lslot = _slot(expr.left, slot_of)
     rslot = _slot(expr.right, slot_of)
-    if lslot is not None and isinstance(expr.right, Literal):
-        return _cmp_col_lit(lslot, op, expr.right.value)
-    if rslot is not None and isinstance(expr.left, Literal):
-        return _cmp_col_lit(rslot, _FLIP[op], expr.left.value)
+    if lslot is not None and (operand := _operand(expr.right)) is not None:
+        return _cmp_col_lit(lslot, op, operand, False)
+    if rslot is not None and (operand := _operand(expr.left)) is not None:
+        return _cmp_col_lit(rslot, op, operand, True)
     if lslot is not None and rslot is not None:
         test = _CMP_TESTS[op]
 
-        def col_col_kernel(batch, sel):
+        def col_col_kernel(batch, sel, params):
             lcol = batch.column(lslot)
             rcol = batch.column(rslot)
             out = []
@@ -323,10 +365,10 @@ def _compile_cmp(expr: BinaryOp, slot_of: _SlotOf) -> PredicateKernel | None:
         return None
     test = _CMP_TESTS[op]
 
-    def generic_cmp_kernel(batch, sel):
+    def generic_cmp_kernel(batch, sel, params):
         sel = list(sel)
-        lvals = left_k(batch, sel)
-        rvals = right_k(batch, sel)
+        lvals = left_k(batch, sel, params)
+        rvals = right_k(batch, sel, params)
         out = []
         for i, lv, rv in zip(sel, lvals, rvals):
             cmp = compare_values(lv, rv)
@@ -337,134 +379,226 @@ def _compile_cmp(expr: BinaryOp, slot_of: _SlotOf) -> PredicateKernel | None:
     return generic_cmp_kernel
 
 
-def _cmp_col_lit(slot: int, op: str, lit: Value) -> PredicateKernel:
-    """``column <op> literal`` specialized per the literal's type family.
+# ``column <op> value`` row filters, one per (family, op).  Each inlines
+# :func:`compare_values` for its family: numbers (bools included)
+# compare numerically, strings lexicographically, and the cross-family
+# cases resolve statically from the rank order *number < text* — e.g.
+# every string is ``>`` any numeric value.
+def _num_eq(col, sel, lit):
+    return [i for i in sel if isinstance((v := col[i]), _NUM) and v == lit]
 
-    Each branch inlines :func:`compare_values` for that family: numbers
-    (bools included) compare numerically, strings lexicographically, and
-    the cross-family cases resolve statically from the rank order
-    *number < text* — e.g. every string is ``>`` any numeric literal.
+
+def _num_ne(col, sel, lit):
+    return [
+        i for i in sel
+        if (isinstance((v := col[i]), _NUM) and v != lit) or isinstance(v, str)
+    ]
+
+
+def _num_lt(col, sel, lit):
+    return [i for i in sel if isinstance((v := col[i]), _NUM) and v < lit]
+
+
+def _num_le(col, sel, lit):
+    return [i for i in sel if isinstance((v := col[i]), _NUM) and v <= lit]
+
+
+def _num_gt(col, sel, lit):
+    return [
+        i for i in sel
+        if (isinstance((v := col[i]), _NUM) and v > lit) or isinstance(v, str)
+    ]
+
+
+def _num_ge(col, sel, lit):
+    return [
+        i for i in sel
+        if (isinstance((v := col[i]), _NUM) and v >= lit) or isinstance(v, str)
+    ]
+
+
+def _str_eq(col, sel, lit):
+    return [i for i in sel if isinstance((v := col[i]), str) and v == lit]
+
+
+def _str_ne(col, sel, lit):
+    return [
+        i for i in sel
+        if (isinstance((v := col[i]), str) and v != lit)
+        or (v is not None and not isinstance(v, str))
+    ]
+
+
+def _str_lt(col, sel, lit):
+    return [
+        i for i in sel
+        if (isinstance((v := col[i]), str) and v < lit)
+        or (v is not None and not isinstance(v, str))
+    ]
+
+
+def _str_le(col, sel, lit):
+    return [
+        i for i in sel
+        if (isinstance((v := col[i]), str) and v <= lit)
+        or (v is not None and not isinstance(v, str))
+    ]
+
+
+def _str_gt(col, sel, lit):
+    return [i for i in sel if isinstance((v := col[i]), str) and v > lit]
+
+
+def _str_ge(col, sel, lit):
+    return [i for i in sel if isinstance((v := col[i]), str) and v >= lit]
+
+
+_COLUMN_VS_VALUE = {
+    (True, "="): _num_eq, (True, "<>"): _num_ne, (True, "<"): _num_lt,
+    (True, "<="): _num_le, (True, ">"): _num_gt, (True, ">="): _num_ge,
+    (False, "="): _str_eq, (False, "<>"): _str_ne, (False, "<"): _str_lt,
+    (False, "<="): _str_le, (False, ">"): _str_gt, (False, ">="): _str_ge,
+}
+
+
+def _compare_rows(op: str, value_first: bool):
+    """``column <op> value`` (or ``value <op> column``) row filter through
+    :func:`compare_values` itself, in the written operand order."""
+    test = _CMP_TESTS[op]
+    if value_first:
+        return lambda col, sel, lit: [
+            i for i in sel
+            if (cmp := compare_values(lit, col[i])) is not None and test(cmp)
+        ]
+    return lambda col, sel, lit: [
+        i for i in sel
+        if (cmp := compare_values(col[i], lit)) is not None and test(cmp)
+    ]
+
+
+def _cmp_col_lit(slot: int, op: str, operand, value_first: bool) -> PredicateKernel:
+    """``column <op> value`` specialized per the value's type family,
+    which a literal and a parameter both fix at compile time.
+
+    *value_first* when the value is written on the left.  A NaN value
+    takes :func:`compare_values` row by row: it is neither equal to nor
+    ordered against any number, and ``compare_values`` answers such pairs
+    by operand position, which no flipped fast path reproduces.
     """
-    if lit is None:
+    kind, read, fixed = operand
+    if kind is _NULL:
         return _empty  # comparison with NULL is unknown for every row
-    if isinstance(lit, _NUM):
-        lit = int(lit) if isinstance(lit, bool) else lit
-        if op == "=":
-            return lambda b, sel, c=slot: [
-                i for i in sel
-                if isinstance((v := b.column(c)[i]), _NUM) and v == lit
-            ]
-        if op == "<>":
-            return lambda b, sel, c=slot: [
-                i for i in sel
-                if (isinstance((v := b.column(c)[i]), _NUM) and v != lit)
-                or isinstance(v, str)
-            ]
-        if op == "<":
-            return lambda b, sel, c=slot: [
-                i for i in sel
-                if isinstance((v := b.column(c)[i]), _NUM) and v < lit
-            ]
-        if op == "<=":
-            return lambda b, sel, c=slot: [
-                i for i in sel
-                if isinstance((v := b.column(c)[i]), _NUM) and v <= lit
-            ]
-        if op == ">":
-            return lambda b, sel, c=slot: [
-                i for i in sel
-                if (isinstance((v := b.column(c)[i]), _NUM) and v > lit)
-                or isinstance(v, str)
-            ]
-        return lambda b, sel, c=slot: [  # >=
-            i for i in sel
-            if (isinstance((v := b.column(c)[i]), _NUM) and v >= lit)
-            or isinstance(v, str)
-        ]
-    if isinstance(lit, str):
-        if op == "=":
-            return lambda b, sel, c=slot: [
-                i for i in sel
-                if isinstance((v := b.column(c)[i]), str) and v == lit
-            ]
-        if op == "<>":
-            return lambda b, sel, c=slot: [
-                i for i in sel
-                if (isinstance((v := b.column(c)[i]), str) and v != lit)
-                or (v is not None and not isinstance(v, str))
-            ]
-        if op == "<":
-            return lambda b, sel, c=slot: [
-                i for i in sel
-                if (isinstance((v := b.column(c)[i]), str) and v < lit)
-                or (v is not None and not isinstance(v, str))
-            ]
-        if op == "<=":
-            return lambda b, sel, c=slot: [
-                i for i in sel
-                if (isinstance((v := b.column(c)[i]), str) and v <= lit)
-                or (v is not None and not isinstance(v, str))
-            ]
-        if op == ">":
-            return lambda b, sel, c=slot: [
-                i for i in sel
-                if isinstance((v := b.column(c)[i]), str) and v > lit
-            ]
-        return lambda b, sel, c=slot: [  # >=
-            i for i in sel
-            if isinstance((v := b.column(c)[i]), str) and v >= lit
-        ]
-    test = _CMP_TESTS[op]  # pragma: no cover - no other literal families
+    fast_op = _FLIP[op] if value_first else op
+    if issubclass(kind, _NUM):
+        rows_fn = _COLUMN_VS_VALUE[True, fast_op]
+        if kind is bool:
+            read = (lambda params, bool_read=read: int(bool_read(params)))
+        elif kind is float:
+            fast, exact = rows_fn, _compare_rows(op, value_first)
 
-    def fallback_kernel(batch, sel):  # pragma: no cover
-        col = batch.column(slot)
+            def rows_fn(col, sel, lit):
+                return fast(col, sel, lit) if lit == lit else exact(col, sel, lit)
+
+        return _bind_column(rows_fn, slot, read, fixed)
+    if issubclass(kind, str):
+        return _bind_column(_COLUMN_VS_VALUE[False, fast_op], slot, read, fixed)
+    return _bind_column(  # pragma: no cover - no other literal families
+        _compare_rows(op, value_first), slot, read, fixed
+    )
+
+
+def _num_between(col, sel, bounds):
+    low, high = bounds
+    return [
+        i for i in sel
+        if isinstance((v := col[i]), _NUM) and low <= v <= high
+    ]
+
+
+def _num_not_between(col, sel, bounds):
+    # a non-NULL string compares above both numeric bounds, so
+    # cmp_low/cmp_high are known and the range test is False
+    low, high = bounds
+    return [
+        i for i in sel
+        if (v := col[i]) is not None
+        and not (isinstance(v, _NUM) and low <= v <= high)
+    ]
+
+
+def _str_between(col, sel, bounds):
+    low, high = bounds
+    return [
+        i for i in sel
+        if isinstance((v := col[i]), str) and low <= v <= high
+    ]
+
+
+def _str_not_between(col, sel, bounds):
+    low, high = bounds
+    return [
+        i for i in sel
+        if (v := col[i]) is not None
+        and not (isinstance(v, str) and low <= v <= high)
+    ]
+
+
+def _between_rows(negated: bool):
+    """``column [NOT] BETWEEN low AND high`` row filter through
+    :func:`compare_values` itself (for NaN bounds, which are not ordered
+    against any number)."""
+
+    def rows(col, sel, bounds):
+        low, high = bounds
         out = []
         for i in sel:
-            cmp = compare_values(col[i], lit)
-            if cmp is not None and test(cmp):
+            v = col[i]
+            cmp_low = compare_values(v, low)
+            cmp_high = compare_values(v, high)
+            if cmp_low is None or cmp_high is None:
+                continue
+            result = cmp_low >= 0 and cmp_high <= 0
+            if (not result) if negated else result:
                 out.append(i)
         return out
 
-    return fallback_kernel
+    return rows
 
 
 def _compile_between(expr: Between, slot_of: _SlotOf) -> PredicateKernel | None:
     slot = _slot(expr.expr, slot_of)
     negated = expr.negated
-    if (
-        slot is not None
-        and isinstance(expr.low, Literal)
-        and isinstance(expr.high, Literal)
-    ):
-        low, high = expr.low.value, expr.high.value
-        if low is None or high is None:
+    low_op, high_op = _operand(expr.low), _operand(expr.high)
+    if slot is not None and low_op is not None and high_op is not None:
+        low_kind, high_kind = low_op[0], high_op[0]
+        if low_kind is _NULL or high_kind is _NULL:
             return _empty  # either bound NULL: unknown for every row
-        low = int(low) if isinstance(low, bool) else low
-        high = int(high) if isinstance(high, bool) else high
-        if isinstance(low, _NUM) and isinstance(high, _NUM):
-            if negated:
-                # a non-NULL string compares above both numeric bounds, so
-                # cmp_low/cmp_high are known and the range test is False
-                return lambda b, sel, c=slot: [
-                    i for i in sel
-                    if (v := b.column(c)[i]) is not None
-                    and not (isinstance(v, _NUM) and low <= v <= high)
-                ]
-            return lambda b, sel, c=slot: [
-                i for i in sel
-                if isinstance((v := b.column(c)[i]), _NUM) and low <= v <= high
-            ]
-        if isinstance(low, str) and isinstance(high, str):
-            if negated:
-                return lambda b, sel, c=slot: [
-                    i for i in sel
-                    if (v := b.column(c)[i]) is not None
-                    and not (isinstance(v, str) and low <= v <= high)
-                ]
-            return lambda b, sel, c=slot: [
-                i for i in sel
-                if isinstance((v := b.column(c)[i]), str) and low <= v <= high
-            ]
+        read_low, read_high = low_op[1], high_op[1]
+        fixed = low_op[2] and high_op[2]
+        if issubclass(low_kind, _NUM) and issubclass(high_kind, _NUM):
+            rows_fn = _num_not_between if negated else _num_between
+            if low_kind is float or high_kind is float:
+                fast, exact = rows_fn, _between_rows(negated)
+
+                def rows_fn(col, sel, bounds):
+                    low, high = bounds
+                    if low == low and high == high:
+                        return fast(col, sel, bounds)
+                    return exact(col, sel, bounds)  # a NaN bound
+
+            return _bind_column(
+                rows_fn, slot,
+                lambda params: (
+                    _as_number(read_low(params)), _as_number(read_high(params))
+                ),
+                fixed,
+            )
+        if issubclass(low_kind, str) and issubclass(high_kind, str):
+            return _bind_column(
+                _str_not_between if negated else _str_between, slot,
+                lambda params: (read_low(params), read_high(params)),
+                fixed,
+            )
         # mixed-family bounds: rare enough to take the generic path below
     value_k = compile_value(expr.expr, slot_of)
     low_k = compile_value(expr.low, slot_of)
@@ -472,11 +606,11 @@ def _compile_between(expr: Between, slot_of: _SlotOf) -> PredicateKernel | None:
     if value_k is None or low_k is None or high_k is None:
         return None
 
-    def between_kernel(batch, sel):
+    def between_kernel(batch, sel, params):
         sel = list(sel)
-        values = value_k(batch, sel)
-        lows = low_k(batch, sel)
-        highs = high_k(batch, sel)
+        values = value_k(batch, sel, params)
+        lows = low_k(batch, sel, params)
+        highs = high_k(batch, sel, params)
         out = []
         for i, v, lo, hi in zip(sel, values, lows, highs):
             cmp_low = compare_values(v, lo)
@@ -491,36 +625,40 @@ def _compile_between(expr: Between, slot_of: _SlotOf) -> PredicateKernel | None:
     return between_kernel
 
 
+def _in_rows(col, sel, members):
+    return [i for i in sel if (v := col[i]) is not None and v in members]
+
+
+def _not_in_rows(col, sel, members):
+    return [i for i in sel if (v := col[i]) is not None and v not in members]
+
+
 def _compile_in_list(expr: InList, slot_of: _SlotOf) -> PredicateKernel | None:
     slot = _slot(expr.expr, slot_of)
     negated = expr.negated
-    if slot is not None and all(isinstance(it, Literal) for it in expr.items):
+    operands = [_operand(item) for item in expr.items]
+    if slot is not None and all(op is not None for op in operands):
         # Python set membership agrees with SQL equality for this value
         # domain: 1 == 1.0 == True share hash buckets, numbers never
         # equal strings, and compare_values' rank comparison returns
         # non-zero exactly where Python ``==`` is False
-        members = {it.value for it in expr.items if it.value is not None}
-        has_null = any(it.value is None for it in expr.items)
-        if negated:
-            if has_null:
-                return _empty  # NOT IN (..., NULL) is never TRUE
-            return lambda b, sel, c=slot: [
-                i for i in sel
-                if (v := b.column(c)[i]) is not None and v not in members
-            ]
-        return lambda b, sel, c=slot: [
-            i for i in sel
-            if (v := b.column(c)[i]) is not None and v in members
-        ]
+        if negated and any(op[0] is _NULL for op in operands):
+            return _empty  # NOT IN (..., NULL) is never TRUE
+        reads = [op[1] for op in operands if op[0] is not _NULL]
+        return _bind_column(
+            _not_in_rows if negated else _in_rows, slot,
+            lambda params: {read(params) for read in reads},
+            all(op[2] for op in operands),
+        )
     value_k = compile_value(expr.expr, slot_of)
     item_ks = [compile_value(item, slot_of) for item in expr.items]
     if value_k is None or any(k is None for k in item_ks):
         return None
 
-    def in_kernel(batch, sel):
+    def in_kernel(batch, sel, params):
         sel = list(sel)
-        values = value_k(batch, sel)
-        item_cols = [k(batch, sel) for k in item_ks]
+        values = value_k(batch, sel, params)
+        item_cols = [k(batch, sel, params) for k in item_ks]
         out = []
         for pos, i in enumerate(sel):
             verdict = _eval_in(
@@ -533,34 +671,41 @@ def _compile_in_list(expr: InList, slot_of: _SlotOf) -> PredicateKernel | None:
     return in_kernel
 
 
+def _like_rows(col, sel, pattern):
+    return [
+        i for i in sel
+        if (v := col[i]) is not None and _like_match(str(v), pattern)
+    ]
+
+
+def _not_like_rows(col, sel, pattern):
+    return [
+        i for i in sel
+        if (v := col[i]) is not None and not _like_match(str(v), pattern)
+    ]
+
+
 def _compile_like(expr: Like, slot_of: _SlotOf) -> PredicateKernel | None:
     slot = _slot(expr.expr, slot_of)
     negated = expr.negated
-    if slot is not None and isinstance(expr.pattern, Literal):
-        pattern = expr.pattern.value
-        if pattern is None:
+    operand = _operand(expr.pattern)
+    if slot is not None and operand is not None:
+        kind, read, fixed = operand
+        if kind is _NULL:
             return _empty
-        pattern = str(pattern)
-        if negated:
-            return lambda b, sel, c=slot: [
-                i for i in sel
-                if (v := b.column(c)[i]) is not None
-                and not _like_match(str(v), pattern)
-            ]
-        return lambda b, sel, c=slot: [
-            i for i in sel
-            if (v := b.column(c)[i]) is not None
-            and _like_match(str(v), pattern)
-        ]
+        return _bind_column(
+            _not_like_rows if negated else _like_rows, slot,
+            lambda params: str(read(params)), fixed,
+        )
     value_k = compile_value(expr.expr, slot_of)
     pattern_k = compile_value(expr.pattern, slot_of)
     if value_k is None or pattern_k is None:
         return None
 
-    def like_kernel(batch, sel):
+    def like_kernel(batch, sel, params):
         sel = list(sel)
-        values = value_k(batch, sel)
-        patterns = pattern_k(batch, sel)
+        values = value_k(batch, sel, params)
+        patterns = pattern_k(batch, sel, params)
         out = []
         for i, v, p in zip(sel, values, patterns):
             if v is None or p is None:
@@ -578,19 +723,19 @@ def _compile_is_null(expr: IsNull, slot_of: _SlotOf) -> PredicateKernel | None:
     negated = expr.negated
     if slot is not None:
         if negated:
-            return lambda b, sel, c=slot: [
+            return lambda b, sel, params, c=slot: [
                 i for i in sel if b.column(c)[i] is not None
             ]
-        return lambda b, sel, c=slot: [
+        return lambda b, sel, params, c=slot: [
             i for i in sel if b.column(c)[i] is None
         ]
     value_k = compile_value(expr.expr, slot_of)
     if value_k is None:
         return None
 
-    def is_null_kernel(batch, sel):
+    def is_null_kernel(batch, sel, params):
         sel = list(sel)
-        values = value_k(batch, sel)
+        values = value_k(batch, sel, params)
         if negated:
             return [i for i, v in zip(sel, values) if v is not None]
         return [i for i, v in zip(sel, values) if v is None]
@@ -610,12 +755,17 @@ def compile_value(expr: Expr, slot_of: _SlotOf) -> ValueKernel | None:
     """
     if isinstance(expr, Literal):
         value = expr.value
-        return lambda batch, sel: [value] * len(sel)
+        return lambda batch, sel, params: [value] * len(sel)
+    if isinstance(expr, Param):
+        index = expr.index
+        return lambda batch, sel, params: [params[index]] * len(sel)
     if isinstance(expr, ColumnRef):
         slot = slot_of(expr)
         if slot is None:
             return None
-        return lambda batch, sel, c=slot: [batch.column(c)[i] for i in sel]
+        return lambda batch, sel, params, c=slot: [
+            batch.column(c)[i] for i in sel
+        ]
     if isinstance(expr, BinaryOp):
         op = expr.op
         if op in ("and", "or"):
@@ -624,10 +774,10 @@ def compile_value(expr: Expr, slot_of: _SlotOf) -> ValueKernel | None:
             if left_k is None or right_k is None:
                 return None
 
-            def bool_kernel(batch, sel):
+            def bool_kernel(batch, sel, params):
                 sel = list(sel)
-                lvals = left_k(batch, sel)
-                rvals = right_k(batch, sel)
+                lvals = left_k(batch, sel, params)
+                rvals = right_k(batch, sel, params)
                 return [_bool3(op, lv, rv) for lv, rv in zip(lvals, rvals)]
 
             return bool_kernel
@@ -638,10 +788,10 @@ def compile_value(expr: Expr, slot_of: _SlotOf) -> ValueKernel | None:
                 return None
             test = _CMP_TESTS[op]
 
-            def cmp_kernel(batch, sel):
+            def cmp_kernel(batch, sel, params):
                 sel = list(sel)
-                lvals = left_k(batch, sel)
-                rvals = right_k(batch, sel)
+                lvals = left_k(batch, sel, params)
+                rvals = right_k(batch, sel, params)
                 out = []
                 for lv, rv in zip(lvals, rvals):
                     cmp = compare_values(lv, rv)
@@ -654,9 +804,9 @@ def compile_value(expr: Expr, slot_of: _SlotOf) -> ValueKernel | None:
         inner = compile_value(expr.operand, slot_of)
         if inner is None:
             return None
-        return lambda batch, sel: [
+        return lambda batch, sel, params: [
             None if v is None else not _truthy(v)
-            for v in inner(batch, list(sel))
+            for v in inner(batch, list(sel), params)
         ]
     if isinstance(expr, Between):
         value_k = compile_value(expr.expr, slot_of)
@@ -666,11 +816,13 @@ def compile_value(expr: Expr, slot_of: _SlotOf) -> ValueKernel | None:
             return None
         negated = expr.negated
 
-        def between_vkernel(batch, sel):
+        def between_vkernel(batch, sel, params):
             sel = list(sel)
             out = []
             for v, lo, hi in zip(
-                value_k(batch, sel), low_k(batch, sel), high_k(batch, sel)
+                value_k(batch, sel, params),
+                low_k(batch, sel, params),
+                high_k(batch, sel, params),
             ):
                 cmp_low = compare_values(v, lo)
                 cmp_high = compare_values(v, hi)
@@ -689,10 +841,10 @@ def compile_value(expr: Expr, slot_of: _SlotOf) -> ValueKernel | None:
             return None
         negated = expr.negated
 
-        def in_vkernel(batch, sel):
+        def in_vkernel(batch, sel, params):
             sel = list(sel)
-            values = value_k(batch, sel)
-            item_cols = [k(batch, sel) for k in item_ks]
+            values = value_k(batch, sel, params)
+            item_cols = [k(batch, sel, params) for k in item_ks]
             return [
                 _eval_in(values[pos], [col[pos] for col in item_cols], negated)
                 for pos in range(len(sel))
@@ -706,10 +858,12 @@ def compile_value(expr: Expr, slot_of: _SlotOf) -> ValueKernel | None:
             return None
         negated = expr.negated
 
-        def like_vkernel(batch, sel):
+        def like_vkernel(batch, sel, params):
             sel = list(sel)
             out = []
-            for v, p in zip(value_k(batch, sel), pattern_k(batch, sel)):
+            for v, p in zip(
+                value_k(batch, sel, params), pattern_k(batch, sel, params)
+            ):
                 if v is None or p is None:
                     out.append(None)
                 else:
@@ -723,9 +877,9 @@ def compile_value(expr: Expr, slot_of: _SlotOf) -> ValueKernel | None:
         if value_k is None:
             return None
         negated = expr.negated
-        return lambda batch, sel: [
+        return lambda batch, sel, params: [
             (v is not None) if negated else (v is None)
-            for v in value_k(batch, list(sel))
+            for v in value_k(batch, list(sel), params)
         ]
     return None
 

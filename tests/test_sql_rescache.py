@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.data.database import Database
 from repro.errors import SQLError
+from repro.sql import shape as sql_shape
 from repro.sql import rescache
 from repro.sql.executor import execute, execute_reference
 from repro.sql.parser import parse_sql
@@ -168,11 +169,11 @@ class TestResultCache:
         stored = execute(first, shop_db)
         assert execute(second, shop_db) is stored
         assert rescache.rescache_stats()["hits"] == 1
-        # the stored key and the memo both hold the first AST, so a probe
-        # with a fresh AST compares keys by identity, not tree by tree
+        # the stored key and the query entry both hold the first AST, so a
+        # probe with a fresh AST compares keys by identity, not tree by tree
         (key,) = rescache._CACHE
         assert key[0] is first
-        assert rescache._KEY_MEMO[second][0] is first
+        assert sql_shape._QUERY_ENTRIES[second].query is first
 
     def test_peek_never_serves_a_cached_error(self, shop_db):
         q = parse_sql("SELECT id + name FROM products")
@@ -334,7 +335,8 @@ class TestResultCache:
 
 
 class TestKeyMemo:
-    """The key memo is keyed by AST value, bounded, clearable."""
+    """The per-query entries that result keys and plan lookups share are
+    keyed by AST value, bounded, clearable."""
 
     def test_equal_asts_share_one_entry(self, shop_db):
         sql = "SELECT name FROM products WHERE price > 5"
@@ -342,37 +344,43 @@ class TestKeyMemo:
         assert first is not second
         execute(first, shop_db)
         execute(second, shop_db)
-        assert len(rescache._KEY_MEMO) == 1
+        entries = sql_shape._QUERY_ENTRIES
+        assert len(entries) == 1
         # the fresh AST found the entry keyed by the first one
-        assert first in rescache._KEY_MEMO and second in rescache._KEY_MEMO
+        assert first in entries and second in entries
+        assert entries[second].tables == ("products",)
 
     def test_typed_literals_get_their_own_keys(self, shop_db):
         for literal in ("1", "1.0", "TRUE"):
             execute(parse_sql(f"SELECT {literal} FROM products"), shop_db)
-        assert len(rescache._KEY_MEMO) == 3
+        assert len(sql_shape._QUERY_ENTRIES) == 3
 
     def test_clear_result_cache_empties_memo(self, shop_db):
         execute(parse_sql("SELECT name FROM products"), shop_db)
-        assert rescache._KEY_MEMO
+        assert sql_shape._QUERY_ENTRIES
         rescache.clear_result_cache()
-        assert not rescache._KEY_MEMO
+        assert not sql_shape._QUERY_ENTRIES
+        execute(parse_sql("SELECT name FROM products"), shop_db)
+        clear_plan_caches()
+        assert not sql_shape._QUERY_ENTRIES
 
     def test_bound_holds_under_long_replay(self, shop_db):
-        bound = rescache._KEY_MEMO_MAX
+        entries = sql_shape._QUERY_ENTRIES
+        bound = sql_shape._QUERY_ENTRIES_MAX
         for _ in range(2):
             for i in range(bound + 200):
                 execute(
                     parse_sql(f"SELECT name FROM products WHERE id > {i}"),
                     shop_db,
                 )
-                assert len(rescache._KEY_MEMO) <= bound
-        assert len(rescache._KEY_MEMO) == bound
+                assert len(entries) <= bound
+        assert len(entries) == bound
         # oldest-first eviction: the newest query is resident, the
         # oldest is not
         newest = parse_sql(f"SELECT name FROM products WHERE id > {bound + 199}")
         oldest = parse_sql("SELECT name FROM products WHERE id > 0")
-        assert newest in rescache._KEY_MEMO
-        assert oldest not in rescache._KEY_MEMO
+        assert newest in entries
+        assert oldest not in entries
 
 
 # ----------------------------------------------------------------------
@@ -644,10 +652,28 @@ class TestCacheCLI:
 
         from repro.sql.cache_cli import main
 
+        clear_plan_caches()
         execute(parse_sql("SELECT name FROM products"), shop_db)
+        execute(parse_sql("SELECT name FROM products WHERE id = 1"), shop_db)
+        execute(parse_sql("SELECT name FROM products WHERE id = 2"), shop_db)
         assert main(["stats", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["entries"] == 1 and payload["enabled"] is True
+        assert payload["entries"] == 3 and payload["enabled"] is True
+        plans = payload["plan_cache"]
+        assert (plans["size"], plans["hits"], plans["misses"]) == (2, 1, 2)
+        assert plans["template_hits"] == 1
+        assert plans["max_size"] >= plans["size"]
+
+    def test_stats_text_prints_the_plan_cache(self, capsys, shop_db):
+        from repro.sql.cache_cli import main
+
+        clear_plan_caches()
+        execute(parse_sql("SELECT name FROM products"), shop_db)
+        assert main(["stats"]) == 0
+        out = capsys.readouterr().out
+        assert "result cache (enabled)" in out and "plan cache" in out
+        for field in ("max_size", "misses: 1", "template_hits: 0"):
+            assert field in out
 
     def test_clear(self, capsys, shop_db):
         from repro.sql.cache_cli import main
@@ -791,7 +817,7 @@ class TestConcurrentAccess:
         assert len(results) == self.THREADS * per_thread
         assert len({result.rows for result in results}) == 1
         (key,) = rescache._CACHE
-        assert key[0] is rescache._KEY_MEMO[parse_sql(sql)][0]
+        assert key[0] is sql_shape._QUERY_ENTRIES[parse_sql(sql)].query
 
     def test_racing_hits_share_one_store(self, shop_db):
         """Pure read contention: every thread gets the right rows, all
