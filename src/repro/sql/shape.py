@@ -60,8 +60,10 @@ class Shaper:
 
     The walk collects the parameter values, the base-table names, and a
     flat token list that is equal for two queries exactly when their
-    shapes are: each node contributes its class, then a fixed number of
-    its scalar fields, then its children's tokens.  With ``build`` it
+    shapes are: each node contributes its class name, then a fixed
+    number of its scalar fields, then its children's tokens.  Tokens are
+    strings, numbers, ``None`` and builtin classes, which the garbage
+    collector stops tracking once it has seen them.  With ``build`` it
     also rebuilds the shape AST for the compiler; both modes visit the
     same nodes in the same order, so the parameter indexes agree.
     """
@@ -77,7 +79,7 @@ class Shaper:
     def query(self, query: Query, frozen: bool) -> Query:
         """Walk *query*; *frozen* keeps every literal in the shape."""
         if query.__class__ is SetOperation:
-            self.tokens.extend((SetOperation, query.op))
+            self.tokens.extend(("SetOperation", query.op))
             left = self.query(query.left, frozen)
             right = self.query(query.right, frozen)
             if left is query.left and right is query.right:
@@ -86,7 +88,7 @@ class Shaper:
         select = query
         tokens = self.tokens
         tokens.extend((
-            Select, len(select.items), len(select.group_by),
+            "Select", len(select.items), len(select.group_by),
             len(select.order_by), select.distinct, select.limit,
             select.from_ is None, select.where is None, select.having is None,
         ))
@@ -122,10 +124,10 @@ class Shaper:
     def from_clause(self, clause, live: bool):
         if clause.__class__ is TableRef:
             self.tables.add(clause.name.lower())
-            self.tokens.extend((TableRef, clause.name, clause.alias))
+            self.tokens.extend(("TableRef", clause.name, clause.alias))
             return clause
         condition = clause.condition
-        self.tokens.extend((Join, clause.kind, condition is None))
+        self.tokens.extend(("Join", clause.kind, condition is None))
         left = self.from_clause(clause.left, live)
         self.from_clause(clause.right, live)
         if condition is not None:
@@ -140,7 +142,7 @@ class Shaper:
             return self.expr(expr, live)
         value = expr.value
         kind = value.__class__
-        self.tokens.extend((Param, kind))
+        self.tokens.extend(("Param", kind))
         self.params.append(value)
         if self.build:
             return Param(len(self.params) - 1, kind)
@@ -151,15 +153,15 @@ class Shaper:
         tokens = self.tokens
         cls = expr.__class__
         if cls is ColumnRef:
-            tokens.extend((ColumnRef, expr.table, expr.column))
+            tokens.extend(("ColumnRef", expr.table, expr.column))
             return expr
         if cls is Literal:
             value = expr.value
-            tokens.extend((Literal, value.__class__, value))
+            tokens.extend(("Literal", value.__class__, value))
             return expr
         if cls is BinaryOp:
             op = expr.op
-            tokens.extend((BinaryOp, op))
+            tokens.extend(("BinaryOp", op))
             if op in COMPARISON_OPS:
                 left = self.operand(expr.left, live)
                 right = self.operand(expr.right, live)
@@ -170,22 +172,22 @@ class Shaper:
                 return expr
             return BinaryOp(op, left, right)
         if cls is FuncCall:
-            tokens.extend((FuncCall, expr.name, expr.distinct, len(expr.args)))
+            tokens.extend(("FuncCall", expr.name, expr.distinct, len(expr.args)))
             args = tuple([self.expr(arg, live) for arg in expr.args])
             if all(new is old for new, old in zip(args, expr.args)):
                 return expr
             return FuncCall(expr.name, args, expr.distinct)
         if cls is Star:
-            tokens.extend((Star, expr.table))
+            tokens.extend(("Star", expr.table))
             return expr
         if cls is UnaryOp:
-            tokens.extend((UnaryOp, expr.op))
+            tokens.extend(("UnaryOp", expr.op))
             operand = self.expr(expr.operand, live)
             if operand is expr.operand:
                 return expr
             return UnaryOp(expr.op, operand)
         if cls is Between:
-            tokens.extend((Between, expr.negated))
+            tokens.extend(("Between", expr.negated))
             value = self.expr(expr.expr, live)
             low = self.operand(expr.low, live)
             high = self.operand(expr.high, live)
@@ -193,7 +195,7 @@ class Shaper:
                 return expr
             return Between(value, low, high, expr.negated)
         if cls is InList:
-            tokens.extend((InList, expr.negated, len(expr.items)))
+            tokens.extend(("InList", expr.negated, len(expr.items)))
             value = self.expr(expr.expr, live)
             items = tuple([self.operand(item, live) for item in expr.items])
             if value is expr.expr and all(
@@ -202,33 +204,33 @@ class Shaper:
                 return expr
             return InList(value, items, expr.negated)
         if cls is Like:
-            tokens.extend((Like, expr.negated))
+            tokens.extend(("Like", expr.negated))
             value = self.expr(expr.expr, live)
             pattern = self.operand(expr.pattern, live)
             if value is expr.expr and pattern is expr.pattern:
                 return expr
             return Like(value, pattern, expr.negated)
         if cls is IsNull:
-            tokens.extend((IsNull, expr.negated))
+            tokens.extend(("IsNull", expr.negated))
             value = self.expr(expr.expr, live)
             if value is expr.expr:
                 return expr
             return IsNull(value, expr.negated)
         if cls is InSubquery:
-            tokens.extend((InSubquery, expr.negated))
+            tokens.extend(("InSubquery", expr.negated))
             value = self.expr(expr.expr, live)
             query = self.query(expr.query, not live)
             if value is expr.expr and query is expr.query:
                 return expr
             return InSubquery(value, query, expr.negated)
         if cls is Exists:
-            tokens.extend((Exists, expr.negated))
+            tokens.extend(("Exists", expr.negated))
             query = self.query(expr.query, not live)
             if query is expr.query:
                 return expr
             return Exists(query, expr.negated)
         if cls is ScalarSubquery:
-            tokens.append(ScalarSubquery)
+            tokens.append("ScalarSubquery")
             query = self.query(expr.query, not live)
             if query is expr.query:
                 return expr

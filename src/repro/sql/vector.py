@@ -14,11 +14,12 @@ Three kernel families:
   selection vector (row indices) and the plan's bound parameters, and
   return the subset of indices where the predicate is TRUE under
   three-valued logic.  A kernel over a parameter specializes on its
-  class at compile time and reads its value once per call.  Only *statically safe*
-  expressions compile — the same subset :func:`repro.sql.plan._analyze_safe`
-  admits for filter pushdown (comparisons, AND/OR/NOT, BETWEEN, IN-lists,
-  LIKE, IS NULL over plain columns and literals) — so a kernel can never
-  raise and short-circuit selection is invisible except in speed;
+  class at compile time and reads its value once per call.  Only
+  *statically safe* expressions compile — the same subset
+  :func:`repro.sql.plan._analyze_safe` admits for filter pushdown
+  (comparisons, AND/OR/NOT, BETWEEN, IN-lists, LIKE, IS NULL over plain
+  columns, literals and parameters) — so a kernel can never raise and
+  short-circuit selection is invisible except in speed;
 - **value kernels** (:func:`compile_value`) return one value per selected
   row with the reference engine's exact three-valued semantics; they back
   the generic predicate paths (NOT, column-to-column comparisons);
