@@ -41,11 +41,12 @@ raise at the moment the interpreter would.
 On top, :func:`plan_for` keeps a bounded plan cache keyed by (query
 shape, schema structure) and :func:`compile_sql` adds a parse cache.  A
 query's *shape* swaps its predicate comparands for typed parameters
-(:class:`~repro.sql.shape.Shaper`), and a schema's *structure* is its fingerprint of
-names, types and keys (:attr:`~repro.data.schema.Schema.structure`), so
-queries that differ only in predicate values, over databases of one
-structure, share one compile: the operators read the values from the
-plan's bound ``params`` once per execution.  The metric hot path (N
+(:class:`~repro.sql.shape.Shaper`), and a schema's *structure* is its
+fingerprint of names, types and keys
+(:attr:`~repro.data.schema.Schema.structure`), so queries that differ
+only in predicate values, over databases of one structure, share one
+compile: the operators read the values from the execution's bound
+``params``.  The metric hot path (N
 candidates evaluated against one gold over many database variants)
 parses and plans each distinct query at most once.
 
