@@ -370,16 +370,20 @@ class Pipeline:
         replays the finished :class:`PipelineTrace` (marked
         ``cached=True``) from :attr:`turn_cache` instead of re-running the
         stages, and a concurrent identical turn waits for the one in
-        flight — see :mod:`repro.core.turn_cache`.
+        flight — see :mod:`repro.core.turn_cache`.  Under the same
+        conditions a chart turn whose VQL translation was already linted
+        and rendered on this database state replays those stages.
         """
         _RUNS.inc()
+        key = turn_key(question, db, knowledge, history)
         trace = self.turn_cache.get_or_compute(
-            turn_key(question, db, knowledge, history),
+            key,
             self._compute_turn,
             question,
             db,
             knowledge,
             history,
+            None if key is None else key[-1],
         )
         if trace.error is not None:
             _ERRORS.inc()
@@ -391,8 +395,12 @@ class Pipeline:
         db: Database,
         knowledge: str | None,
         history: list | None,
+        state: tuple | None,
     ) -> PipelineTrace:
         """Run the stages once and build the turn's frozen trace.
+
+        *state* is the turn key's database-state token, None when the
+        turn bypasses the turn cache (and so the stored chart stages).
 
         With a resilience policy the turn budget is the ambient deadline
         for every stage, and anything that escapes the stage ladders (an
@@ -415,7 +423,8 @@ class Pipeline:
                 )
             else:
                 trace = self._run_stages(
-                    question, db, knowledge, history, stages, degraded, None
+                    question, db, knowledge, history, stages, degraded, None,
+                    state,
                 )
         except Exception as exc:
             if policy is None:
@@ -450,7 +459,8 @@ class Pipeline:
         """:meth:`_run_stages` inside a ``repro.pipeline.run`` span."""
         with _obs_trace.span("repro.pipeline.run", question=question) as span:
             trace = self._run_stages(
-                question, db, knowledge, history, stages, degraded, span
+                question, db, knowledge, history, stages, degraded, span,
+                None,
             )
             span.set_attr("error", trace.error)
         if degraded:
@@ -466,6 +476,7 @@ class Pipeline:
         stages: list[StageRecord],
         degraded: list[str],
         span,
+        state: tuple | None,
     ) -> PipelineTrace:
         is_vis = self._stage(
             stages, "preprocess", _intent_output,
@@ -475,7 +486,7 @@ class Pipeline:
             question, db.schema, db, knowledge, list(history or [])
         )
         if is_vis:
-            outcome = self._vis_stages(request, db, stages, degraded)
+            outcome = self._vis_stages(request, db, stages, degraded, state)
         else:
             outcome = self._sql_stages(request, db, stages, degraded)
         expression, query, result, chart, error = outcome
@@ -490,8 +501,14 @@ class Pipeline:
         db: Database,
         stages: list[StageRecord],
         degraded: list[str],
+        state: tuple | None,
     ) -> tuple:
         """Translate → [lint] → render → present for a chart request.
+
+        With a database-state token *state*, the stages after translate
+        replay from the turn cache's stored chart stages when this VQL
+        was rendered on this state before (fresh timings, stored
+        outputs), and a healthy rendered chart is stored for the next.
 
         Returns ``(functional_expression, query, result, chart, error)``.
         """
@@ -501,6 +518,17 @@ class Pipeline:
         )
         if vql is None:
             return None, None, None, None, "translation failed"
+        if state is not None:
+            start = perf_counter()
+            stored = self.turn_cache.chart_stages(vql, state)
+            if stored is not None:
+                chosen, chart, outputs = stored
+                for name, output in outputs:
+                    now = perf_counter()
+                    stages.append(_new_stage_record(name, output, now - start))
+                    start = now
+                return chosen, None, None, chart, None
+            translated, first = vql, len(stages)
         # the program the gate parsed, so render does not parse again
         program = None
         if self.vis_lint_gate is not None:
@@ -520,6 +548,11 @@ class Pipeline:
             return vql, None, None, None, "chart rendering failed"
         if isinstance(rendered, Chart):
             self._stage(stages, "present", str, rendered.title_line)
+            if state is not None and not degraded:
+                self.turn_cache.store_chart_stages(translated, state, (
+                    vql, rendered,
+                    tuple([(r.stage, r.output) for r in stages[first:]]),
+                ))
             return vql, None, None, rendered, None
         # render ladder degraded to data-only: present the underlying
         # rows like a query turn

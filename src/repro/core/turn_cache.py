@@ -22,6 +22,16 @@ nothing for it.  Degraded turns are neither stored nor shared — a
 fallback answer must not outlive the incident that caused it — and a
 leader that raises or degrades wakes its followers, each of which then
 computes its own turn.
+
+Next to the stored turns sit the stored *chart stages*: paraphrased
+chart questions miss the turn key but translate to one VQL program, and
+the vis lint gate and the renderer are deterministic given the program
+text and the database state.  :meth:`TurnCache.chart_stages` looks up
+``(VQL text, database-state token)`` — the token taken from the turn's
+key, so the same bypasses apply — and the pipeline replays the stored
+``lint``/``execute``/``present`` outputs and frozen chart
+(``repro.pipeline.chart_reuse.hits``) instead of linting and rendering
+again (``repro.pipeline.chart_reuse.misses``).
 """
 
 from __future__ import annotations
@@ -43,6 +53,8 @@ _registry = _obs_metrics.get_registry()
 _HITS = _registry.counter("repro.pipeline.turn_cache.hits")
 _MISSES = _registry.counter("repro.pipeline.turn_cache.misses")
 _FOLLOWERS = _registry.counter("repro.pipeline.turn_cache.followers")
+_CHART_HITS = _registry.counter("repro.pipeline.chart_reuse.hits")
+_CHART_MISSES = _registry.counter("repro.pipeline.chart_reuse.misses")
 
 
 def turn_key(
@@ -57,8 +69,9 @@ def turn_key(
     result-level reuse), when tracing is on (span trees must reflect
     real stage work), under any active fault plan (a turn's outcome is
     then no longer a pure function of its inputs), and when the history
-    holds unhashable entries.  The database-state token carries every
-    table's version stamp, so any mutation misses.
+    holds unhashable entries.  The database-state token, the key's last
+    element, carries every table's version stamp, so any mutation
+    misses; the pipeline keys its stored chart stages on it too.
 
     ``_faults.active()`` is asked first, on every turn: it reads
     ``REPRO_CHAOS`` once, after which the pipeline's stages test the
@@ -102,23 +115,55 @@ class _Flight:
 
 
 class TurnCache:
-    """A bounded LRU of finished turns plus the map of turns in flight."""
+    """A bounded LRU of finished turns plus the map of turns in flight,
+    and the bounded map of finished chart stages."""
 
-    #: bound on stored turns
+    #: bound on stored turns, and on stored chart stages
     maxsize = 128
 
     def __init__(self) -> None:
         self._stored: "OrderedDict[tuple, _Flight]" = OrderedDict()
         self._inflight: dict[tuple, _Flight] = {}
+        # an LRU read without the lock: a hit's move to the end is one
+        # atomic call, and only inserts and evictions take the lock
+        self._charts: "OrderedDict[tuple, tuple]" = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._stored)
 
     def clear(self) -> None:
-        """Drop every stored turn (turns in flight finish normally)."""
+        """Drop every stored turn and chart (turns in flight finish
+        normally)."""
         with self._lock:
             self._stored.clear()
+            self._charts.clear()
+
+    def chart_stages(self, vql: str, state: tuple) -> tuple | None:
+        """The stored ``(chosen VQL, chart, ((stage, output), ...))`` of
+        the chart stages after translating to *vql* on the database in
+        *state* (a :func:`turn_key`'s token), or None."""
+        key = (vql, state)
+        charts = self._charts
+        entry = charts.get(key)
+        if entry is None:
+            _CHART_MISSES.inc()
+            return None
+        _CHART_HITS.inc()
+        try:
+            charts.move_to_end(key)
+        except KeyError:  # evicted since the read
+            pass
+        return entry
+
+    def store_chart_stages(self, vql: str, state: tuple, entry: tuple) -> None:
+        """Store *entry* for :meth:`chart_stages`, dropping the least
+        recently used past :attr:`maxsize`."""
+        with self._lock:
+            charts = self._charts
+            charts[(vql, state)] = entry
+            while len(charts) > self.maxsize:
+                charts.popitem(last=False)
 
     def get_or_compute(
         self, key: tuple | None, compute: Callable[..., object], *args

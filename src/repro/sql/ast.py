@@ -15,6 +15,7 @@ The two top-level node kinds are :class:`Select` and :class:`SetOperation`;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import copysign
 from typing import Union
 
 #: SQL value domain: NULL, numbers, and text.
@@ -46,6 +47,8 @@ class Literal(Expr):
     Equality and hash are type-exact: ``SELECT 1``, ``SELECT 1.0`` and
     ``SELECT TRUE`` differ in output column name and value type, so value-
     keyed caches (plan, result-key, turn history) must never alias them.
+    They are sign-exact too: ``0.0 == -0.0`` in Python, but the sign shows
+    in the value's text (``LIKE -0.0``, a column name).
     """
 
     value: Value
@@ -54,10 +57,19 @@ class Literal(Expr):
         if other.__class__ is not Literal:
             return NotImplemented
         mine, theirs = self.value, other.value
-        return mine.__class__ is theirs.__class__ and mine == theirs
+        return mine.__class__ is theirs.__class__ and mine == theirs and (
+            mine.__class__ is not float
+            or mine != 0.0
+            or copysign(1.0, mine) == copysign(1.0, theirs)
+        )
 
     def __hash__(self) -> int:
-        return hash((self.value.__class__, self.value))
+        value = self.value
+        if value.__class__ is float and value == 0.0 and (
+            copysign(1.0, value) < 0.0
+        ):
+            return hash((float, "-0.0"))
+        return hash((value.__class__, value))
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,6 +11,7 @@ one per-query lookup the plan cache and the result cache share.
 from __future__ import annotations
 
 import threading
+from math import copysign
 
 from repro.data.values import Value
 from repro.sql.ast import (
@@ -157,7 +158,11 @@ class Shaper:
             return expr
         if cls is Literal:
             value = expr.value
-            tokens.extend(("Literal", value.__class__, value))
+            kind = value.__class__
+            if kind is float and value == 0.0 and copysign(1.0, value) < 0.0:
+                # equal to 0.0, but its text (a column name) differs
+                kind = "-0.0"
+            tokens.extend(("Literal", kind, value))
             return expr
         if cls is BinaryOp:
             op = expr.op

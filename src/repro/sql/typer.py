@@ -164,19 +164,23 @@ _Frame = dict[str, tuple[TableSchema, bool]]
 def _collect_frame(clause: FromClause | None, schema: Schema) -> _Frame:
     """Bindings of a FROM clause; right sides of LEFT JOINs are nullable."""
     frame: _Frame = {}
-
-    def visit(node: FromClause, padded: bool) -> None:
-        if isinstance(node, TableRef):
-            if schema.has_table(node.name):
-                frame[node.binding] = (schema.table(node.name), padded)
-            return
-        assert isinstance(node, Join)
-        visit(node.left, padded)
-        visit(node.right, padded or node.kind == "left")
-
     if clause is not None:
-        visit(clause, False)
+        _bind_from(clause, False, schema, frame)
     return frame
+
+
+def _bind_from(
+    node: FromClause, padded: bool, schema: Schema, frame: _Frame
+) -> None:
+    # module level, not a closure: a self-recursive closure is a
+    # reference cycle that every typed query would leave to the collector
+    if isinstance(node, TableRef):
+        if schema.has_table(node.name):
+            frame[node.binding] = (schema.table(node.name), padded)
+        return
+    assert isinstance(node, Join)
+    _bind_from(node.left, padded, schema, frame)
+    _bind_from(node.right, padded or node.kind == "left", schema, frame)
 
 
 def _resolve(

@@ -23,6 +23,11 @@ exits 1, naming the first turn that differs, unless the replay's digest
 equals the checked-in one::
 
     python tests/data/update_stage_lock.py --warm
+
+Either way the script prints how many chart turns of the recorded pass
+replayed stored chart stages (a paraphrase of a chart already rendered
+on the same database) and exits 1 when none did, so the lock keeps
+covering the replay path as well as the computed one.
 """
 
 from __future__ import annotations
@@ -40,14 +45,16 @@ CORPORA = (("spider_like", 0.01), ("wikisql_like", 0.01), ("nvbench_like", 0.01)
 SEED = 11
 
 
-def turn_records(warm: bool = False) -> list[tuple[str, list]]:
-    """``(label, record)`` per distinct question, in corpus order.
+def turn_records(warm: bool = False) -> tuple[list[tuple[str, list]], int]:
+    """``(label, record)`` per distinct question, in corpus order, and
+    how many of those turns replayed stored chart stages.
 
     With *warm*, every turn runs twice through the same system, the
     turn cache cleared in between, and the second run's records are
     returned.
     """
     from repro.datasets import build_dataset
+    from repro.obs.metrics import get_registry
     from repro.sql.rescache import clear_result_cache
     from repro.systems import PipelineSystem
 
@@ -72,6 +79,8 @@ def turn_records(warm: bool = False) -> list[tuple[str, list]]:
         for _, question, db, knowledge in turns:
             system.pipeline.run(question, db, knowledge=knowledge)
         system.pipeline.turn_cache.clear()
+    replays = get_registry().counter("repro.pipeline.chart_reuse.hits")
+    replayed = replays.value
     out: list[tuple[str, list]] = []
     for label, question, db, knowledge in turns:
         trace = system.pipeline.run(question, db, knowledge=knowledge)
@@ -82,7 +91,13 @@ def turn_records(warm: bool = False) -> list[tuple[str, list]]:
             trace.functional_expression,
         ]
         out.append((label, record))
-    return out
+    return out, replays.value - replayed
+
+
+def report_replays(replayed: int) -> int:
+    """Print the replayed chart turns; 1 when there were none."""
+    print(f"{replayed} chart turns replayed stored chart stages")
+    return 0 if replayed else 1
 
 
 def record_digest(record: list) -> str:
@@ -105,12 +120,12 @@ def build_lock(records: list[tuple[str, list]]) -> dict:
 
 def check_warm() -> int:
     """Replay warm and compare with the checked-in lock; 0 when equal."""
-    records = turn_records(warm=True)
+    records, replayed = turn_records(warm=True)
     lock = build_lock(records)
     expected = json.loads(LOCK_PATH.read_text())
     print(f"warm replay: {lock['turn_count']} turns, sha256 {lock['sha256']}")
     if lock["sha256"] == expected["sha256"]:
-        return 0
+        return report_replays(replayed)
     for (label, _), got, want in zip(records, lock["turns"], expected["turns"]):
         if got != want:
             print(f"first differing turn: {label}")
@@ -127,10 +142,11 @@ def main(argv: list[str]) -> int:
     if argv:
         print(f"usage: {pathlib.Path(__file__).name} [--warm]", file=sys.stderr)
         return 2
-    lock = build_lock(turn_records())
+    records, replayed = turn_records()
+    lock = build_lock(records)
     LOCK_PATH.write_text(json.dumps(lock, indent=0) + "\n")
     print(f"{lock['turn_count']} turns, sha256 {lock['sha256']}")
-    return 0
+    return report_replays(replayed)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.sql.executor import execute
@@ -192,3 +194,21 @@ class TestRuntimeDifferential:
         for example in tiny_nvbench.examples:
             db = tiny_nvbench.database(example.db_id)
             self.check(parse_vql(example.vql).query, db)
+
+
+def test_typing_a_join_leaves_no_cyclic_garbage(shop_schema):
+    # every chart turn types its query; a cycle per call would leave
+    # the collector to free what reference counting could
+    query = parse_sql(
+        "SELECT p.name, s.quantity FROM products AS p "
+        "LEFT JOIN sales AS s ON p.id = s.product_id"
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        out = infer_output_schema(query, shop_schema)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert out.names() == ("p.name", "s.quantity")
+    assert [c.nullable for c in out.columns] == [True, True]

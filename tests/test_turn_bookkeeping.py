@@ -61,7 +61,7 @@ def _stage_counts() -> dict[str, int]:
 # ----------------------------------------------------------------------
 def test_stage_lock():
     lock = json.loads(LOCK_PATH.read_text())
-    records = turn_records()
+    records, replayed = turn_records()
     digests = [record_digest(record) for _, record in records]
     for index, (expected, actual) in enumerate(zip(lock["turns"], digests)):
         if expected != actual:
@@ -80,6 +80,8 @@ def test_stage_lock():
         ("intent: visualization", False),
         ("intent: query", True),
     }
+    # and chart turns that replayed stored chart stages
+    assert replayed > 0
 
 
 # ----------------------------------------------------------------------
