@@ -41,10 +41,9 @@ from repro.metrics.test_suite import (
     test_suite_match,
     test_suite_match_many,
 )
-from repro.sql import rescache
 from repro.sql.executor import execute, execute_reference
 from repro.sql.parser import parse_sql
-from repro.sql.plan import clear_plan_caches
+from repro.sql.plan import clear_plan_caches, plan_for
 
 NUM = ColumnType.NUMBER
 TXT = ColumnType.TEXT
@@ -142,25 +141,21 @@ def _time(fn, iters: int, repeat: int = 2) -> float:
 
 
 def _micro_workloads(db: Database, iters: int) -> dict[str, dict[str, float]]:
-    # the result cache is off: every compiled execution runs its plan
-    # instead of replaying the first run's rows
-    previous = rescache.set_rescache_enabled(False)
-    try:
-        results = {}
-        for name, sql in WORKLOADS:
-            query = parse_sql(sql)
-            ref = execute_reference(query, db)
-            compiled = execute(query, db)
-            assert compiled.columns == ref.columns and compiled.rows == ref.rows
-            interp = _time(lambda: execute_reference(query, db), iters)
-            fast = _time(lambda: execute(query, db), iters * 10)
-            results[name] = {
-                "interpreter_qps": round(interp, 2),
-                "compiled_qps": round(fast, 2),
-                "speedup": round(fast / interp, 2),
-            }
-    finally:
-        rescache.set_rescache_enabled(previous)
+    # plan_for().run() skips the result cache: every compiled execution
+    # runs its plan instead of replaying the first run's rows
+    results = {}
+    for name, sql in WORKLOADS:
+        query = parse_sql(sql)
+        ref = execute_reference(query, db)
+        compiled = execute(query, db)
+        assert compiled.columns == ref.columns and compiled.rows == ref.rows
+        interp = _time(lambda: execute_reference(query, db), iters)
+        fast = _time(lambda: plan_for(query, db.schema, db).run(db), iters * 10)
+        results[name] = {
+            "interpreter_qps": round(interp, 2),
+            "compiled_qps": round(fast, 2),
+            "speedup": round(fast / interp, 2),
+        }
     return results
 
 

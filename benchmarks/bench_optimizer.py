@@ -11,7 +11,8 @@ off (off is exactly the prior written-order, full-scan engine) on:
 3. ``order_by_limit`` — top-k over a large table (sorted-index
    short-circuit vs full sort);
 4. ``test_suite_evaluation`` — end-to-end test-suite metric runs over
-   fuzzed database variants;
+   fuzzed database variants, against the same variant loop run directly
+   on unoptimized plans (``compile_query(..., optimize=False)``);
 5. ``append_then_read`` — inserts interleaved with indexed point, ``IN``,
    range and ``ORDER BY ... DESC LIMIT`` reads.  Every read must equal
    ``execute_reference``, and after the first reads no index may be built
@@ -50,15 +51,17 @@ from _harness import (
 from repro.data.database import Database
 from repro.data.schema import Column, ColumnType, Schema, TableSchema
 from repro.errors import SQLError
-from repro.metrics.test_suite import test_suite_match, test_suite_match_many
+from repro.metrics.execution import results_equal
+from repro.metrics.test_suite import (
+    _cached_variants,
+    _literal_values,
+    test_suite_match,
+    test_suite_match_many,
+)
 from repro.sql import index as sqlindex
 from repro.sql.executor import execute, execute_reference
 from repro.sql.parser import parse_sql
-from repro.sql.plan import (
-    clear_plan_caches,
-    compile_query,
-    set_optimizer_enabled,
-)
+from repro.sql.plan import clear_plan_caches, compile_query
 
 NUM = ColumnType.NUMBER
 TXT = ColumnType.TEXT
@@ -317,31 +320,43 @@ def _test_suite_workload(
         for _ in range(candidates_per_gold)
     ]
 
-    def run() -> float:
+    def optimized() -> None:
+        if workers is not None and workers > 1:
+            assert all(
+                test_suite_match_many(jobs, num_variants, max_workers=workers)
+            )
+        else:
+            for gold, db in pairs:
+                for _ in range(candidates_per_gold):
+                    assert test_suite_match(gold, gold, db, num_variants)
+
+    def unoptimized() -> None:
+        # the metric's variant loop on one unoptimized plan per gold, run
+        # directly: no plan cache, no result cache, one worker
+        for gold, db in pairs:
+            query = parse_sql(gold)
+            plan = compile_query(query, db.schema, db, optimize=False)
+            probes = tuple(_literal_values(query))
+            variants = _cached_variants(db, num_variants, 0, probes)
+            for _ in range(candidates_per_gold):
+                for variant in variants:
+                    try:
+                        expected = plan.run(variant)
+                    except SQLError:
+                        continue
+                    assert results_equal(plan.run(variant), expected)
+
+    def run(evaluate) -> float:
         best = 0.0
         for _ in range(2):
             _drop_metric_caches(db for _, db in pairs)
             start = time.perf_counter()
-            if workers is not None and workers > 1:
-                assert all(
-                    test_suite_match_many(
-                        jobs, num_variants, max_workers=workers
-                    )
-                )
-            else:
-                for gold, db in pairs:
-                    for _ in range(candidates_per_gold):
-                        assert test_suite_match(gold, gold, db, num_variants)
+            evaluate()
             best = max(best, evaluations / (time.perf_counter() - start))
         return best
 
-    previous = set_optimizer_enabled(False)
-    try:
-        slow = run()
-        set_optimizer_enabled(True)
-        fast = run()
-    finally:
-        set_optimizer_enabled(previous)
+    slow = run(unoptimized)
+    fast = run(optimized)
     stats = {
         "baseline_qps": round(slow, 2),
         "optimized_qps": round(fast, 2),

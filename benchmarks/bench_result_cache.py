@@ -4,21 +4,17 @@ Measures the versioned result cache (:mod:`repro.sql.rescache`) the way
 the interactive-NLI traffic shape exercises it:
 
 1. ``corpus_warm_hits`` — gold queries from the spider/wikisql/nvbench
-   corpora executed repeatedly: disabled-cache QPS (plans warm, so the
-   delta isolates *result* caching) vs warm-hit QPS, asserting the >= 5x
-   acceptance floor per corpus;
+   corpora executed repeatedly: uncached QPS (``plan_for().run()`` with
+   plans warm, so the delta isolates *result* caching) vs warm-hit QPS,
+   asserting the >= 5x acceptance floor per corpus;
 2. ``mutation_storm`` — randomly interleaved ``append`` /
    ``replace_rows`` / ``invalidate_caches`` mutations with cached reads,
    every read compared byte-identical against a direct uncached plan run
-   (the invalidation-correctness differential: zero stale serves);
-3. ``disabled_overhead`` — ``REPRO_SQL_RESCACHE=0`` must cost nothing:
-   the disabled ``execute()`` path (one flag check) is timed against a
-   raw ``plan_for().run()`` loop and asserted within the 5% budget.
+   (the invalidation-correctness differential: zero stale serves).
 
 Results print as tables and are written to ``BENCH_result_cache.json``
 at the repository root.  ``--smoke`` (alias ``--quick``) shrinks sizes
-for CI; CI additionally diffs the recorded ``disabled_overhead`` field
-against the 5% threshold.
+for CI.
 """
 
 from __future__ import annotations
@@ -159,12 +155,12 @@ def _corpus_warm_hits(limit: int, floor: float) -> dict:
             for query, db in jobs:
                 execute(query, db)
 
-        previous = rescache.set_rescache_enabled(False)
-        try:
-            run_all()  # warm the plan cache so the delta is result caching
-            cold = _time(run_all, iters=1, repeat=3) * len(jobs)
-        finally:
-            rescache.set_rescache_enabled(previous)
+        def run_uncached() -> None:
+            for query, db in jobs:
+                plan_for(query, db.schema, db).run(db)
+
+        run_uncached()  # warm the plan cache so the delta is result caching
+        cold = _time(run_uncached, iters=1, repeat=3) * len(jobs)
         rescache.clear_result_cache()
         run_all()  # populate
         warm = _time(run_all, iters=1, repeat=3) * len(jobs)
@@ -244,34 +240,6 @@ def _mutation_storm(db: Database, steps: int) -> dict:
     return out
 
 
-# ----------------------------------------------------------------------
-# 3. disabled-path overhead
-# ----------------------------------------------------------------------
-def _disabled_overhead(db: Database, iters: int) -> dict:
-    """REPRO_SQL_RESCACHE=0 must cost nothing beyond one flag check."""
-    query = parse_sql(STORM_SQL[0])
-    # the pre-cache execute() path: plan-cache lookup + run per call
-    raw_qps = _time(lambda: plan_for(query, db.schema, db).run(db), iters)
-    previous = rescache.set_rescache_enabled(False)
-    try:
-        entries_before = rescache.rescache_stats()["entries"]
-        off_qps = _time(lambda: execute(query, db), iters)
-        assert rescache.rescache_stats()["entries"] == entries_before, (
-            "disabled path must never touch the cache"
-        )
-    finally:
-        rescache.set_rescache_enabled(previous)
-    overhead = max(0.0, 1.0 - off_qps / raw_qps)
-    assert overhead < 0.05, (
-        f"disabled-path overhead {overhead:.1%} exceeds the 5% budget"
-    )
-    return {
-        "raw_qps": round(raw_qps, 1),
-        "disabled_qps": round(off_qps, 1),
-        "overhead_pct": round(100 * overhead, 2),
-    }
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -282,15 +250,14 @@ def main(argv=None):
 
     if args.smoke:
         db = _bench_db(num_products=500, num_sales=1000)
-        limit, steps, iters = 30, 60, 40
+        limit, steps = 30, 60
     else:
         db = _bench_db(num_products=5000, num_sales=10000)
-        limit, steps, iters = 120, 300, 60
+        limit, steps = 120, 300
 
     clear_plan_caches()
     corpus = _corpus_warm_hits(limit, floor=5.0)
     storm = _mutation_storm(db, steps)
-    overhead = _disabled_overhead(db, iters)
 
     print_table(
         "Warm-hit throughput on corpus gold queries"
@@ -313,11 +280,6 @@ def main(argv=None):
         [(storm["reads"], storm["mutations"], storm["hits"],
           storm["stale_serves"])],
     )
-    print(
-        f"\ndisabled-path overhead: {overhead['overhead_pct']}% "
-        f"(raw {overhead['raw_qps']:,.1f} q/s vs "
-        f"disabled {overhead['disabled_qps']:,.1f} q/s)"
-    )
 
     out_path = os.path.join(
         os.path.dirname(os.path.abspath(__file__)), "..",
@@ -328,7 +290,6 @@ def main(argv=None):
         "cpus": os.cpu_count(),
         "corpus_warm_hits": corpus,
         "mutation_storm": storm,
-        "disabled_overhead": overhead,
     }
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)

@@ -22,9 +22,6 @@ ran vectorized.  A second section times the parallel evaluation
 driver (:mod:`repro.eval.parallel`) on the test-suite metric at 1/2/4/8
 workers — the recorded ``cpus`` field says how many cores the numbers
 were collected on, since worker scaling is physically bounded by it.
-Finally the ``REPRO_SQL_VECTOR=0`` disabled path is timed and asserted
-to stay within 5% of the row engine (the toggle must be free), with zero
-vectorized operators and zero batch-counter ticks.
 
 Results print as tables and are written to ``BENCH_vector.json`` at the
 repository root.  ``--smoke`` (alias ``--quick``) shrinks sizes for CI.
@@ -46,10 +43,9 @@ from _harness import add_workers_arg, dataset, print_table
 from repro.data.database import Database
 from repro.data.schema import Column, ColumnType, Schema, TableSchema
 from repro.metrics.test_suite import test_suite_match_many
-from repro.sql import vector as vec
 from repro.sql.executor import execute_reference
 from repro.sql.parser import parse_sql
-from repro.sql.plan import clear_plan_caches, compile_query, plan_for
+from repro.sql.plan import clear_plan_caches, compile_query
 
 NUM = ColumnType.NUMBER
 TXT = ColumnType.TEXT
@@ -208,39 +204,6 @@ def _micro_workloads(
     return results
 
 
-def _disabled_overhead(db: Database, iters: int) -> dict[str, float]:
-    """REPRO_SQL_VECTOR=0 must cost nothing: same QPS, zero vector ops."""
-    query = parse_sql(_workloads(db)[0][1])
-    row_plan = compile_query(
-        query, db.schema, db, optimize=True, vectorize=False
-    )
-    row_qps = _time(lambda: row_plan.run(db), iters)
-
-    previous = vec.set_vector_enabled(False)
-    clear_plan_caches()
-    try:
-        batches_before = vec.BATCHES.value
-        off_plan = plan_for(query, db.schema, db)
-        assert not off_plan.vectorized
-        assert "vectorized" not in off_plan.explain(db)
-        off_qps = _time(lambda: off_plan.run(db), iters)
-        assert vec.BATCHES.value == batches_before, (
-            "disabled path must never touch column batches"
-        )
-    finally:
-        vec.set_vector_enabled(previous)
-        clear_plan_caches()
-    overhead = max(0.0, 1.0 - off_qps / row_qps)
-    assert overhead < 0.05, (
-        f"disabled-path overhead {overhead:.1%} exceeds the 5% budget"
-    )
-    return {
-        "row_qps": round(row_qps, 2),
-        "disabled_qps": round(off_qps, 2),
-        "overhead_pct": round(100 * overhead, 2),
-    }
-
-
 def _drop_metric_caches(dbs) -> None:
     clear_plan_caches()
     for db in dbs:
@@ -314,7 +277,6 @@ def main(argv=None):
     )
 
     micro = _micro_workloads(db, parity_db, iters)
-    overhead = _disabled_overhead(db, iters)
     scaling = _eval_scaling(examples, candidates, variants, worker_counts)
 
     print_table(
@@ -340,11 +302,6 @@ def main(argv=None):
             for workers, stats in scaling.items()
         ],
     )
-    print(
-        f"\ndisabled-path overhead: {overhead['overhead_pct']}% "
-        f"(row {overhead['row_qps']:,.1f} q/s vs "
-        f"disabled {overhead['disabled_qps']:,.1f} q/s)"
-    )
 
     out_path = os.path.join(
         os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_vector.json"
@@ -353,7 +310,6 @@ def main(argv=None):
         "smoke": args.smoke,
         "cpus": os.cpu_count(),
         "workloads": micro,
-        "disabled_overhead": overhead,
         "test_suite_evaluation_by_workers": scaling,
     }
     with open(out_path, "w", encoding="utf-8") as handle:

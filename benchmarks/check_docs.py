@@ -1,6 +1,7 @@
-"""Docs-consistency check: CLI subcommands vs what the docs claim.
+"""Docs-consistency check: CLI subcommands and environment variables vs
+what the docs claim.
 
-Three invariants, all cheap enough for CI:
+Four invariants, all cheap enough for CI:
 
 1. every ``python -m repro <subcommand>`` named anywhere in the user
    docs (README.md, DESIGN.md, EXPERIMENTS.md, docs/) resolves to a real
@@ -9,13 +10,17 @@ Three invariants, all cheap enough for CI:
 2. every ``python -m repro cache <verb>`` named there is a verb that
    ``src/repro/sql/cache_cli.py`` registers;
 3. every subcommand the CLI actually dispatches is documented in
-   README.md — no silent features.
+   README.md — no silent features;
+4. every ``REPRO_*`` environment variable named in README.md, DESIGN.md
+   or docs/ is read by some file under ``src/`` — no settings that
+   were deleted from the code but not from the docs (EXPERIMENTS.md is
+   a record of past runs and may name them).
 
-Subcommands and verbs are extracted from the source itself (the
-``argv[0] == "<name>"`` chain and the ``add_parser("<verb>")`` calls),
-so the check cannot drift from the code the way a hand-maintained list
-would.  Run directly (exit 1 on any
-violation) or through ``tests/test_docs_consistency.py``.
+Subcommands, verbs and variables are extracted from the source itself
+(the ``argv[0] == "<name>"`` chain, the ``add_parser("<verb>")`` calls
+and the quoted ``"REPRO_..."`` names), so the check cannot drift from
+the code the way a hand-maintained list would.  Run directly (exit 1 on
+any violation) or through ``tests/test_docs_consistency.py``.
 """
 
 from __future__ import annotations
@@ -36,6 +41,11 @@ _DISPATCH_RE = re.compile(r'argv\[0\] == "([a-z][a-z0-9-]*)"')
 _MENTION_RE = re.compile(r"python -m repro\s+([a-z][a-z0-9-]*)")
 _VERB_RE = re.compile(r'add_parser\(\s*"([a-z][a-z0-9-]*)"')
 _CACHE_MENTION_RE = re.compile(r"python -m repro\s+cache\s+([a-z][a-z0-9-]*)")
+_ENV_MENTION_RE = re.compile(r"REPRO_[A-Z_]+")
+_ENV_READ_RE = re.compile(r"[\"'](REPRO_[A-Z_]+)[\"']")
+
+#: docs that record past runs, exempt from the environment-variable audit
+HISTORY_DOC_FILES = {"EXPERIMENTS.md"}
 
 
 def _source_names(relpath: str, pattern: re.Pattern) -> set[str]:
@@ -51,6 +61,17 @@ def dispatched_subcommands() -> set[str]:
 def cache_verbs() -> set[str]:
     """The verbs ``python -m repro cache`` registers, from source."""
     return _source_names("src/repro/sql/cache_cli.py", _VERB_RE)
+
+
+def read_env_vars() -> set[str]:
+    """The ``REPRO_*`` variables code under ``src/`` reads, by their
+    quoted names."""
+    names: set[str] = set()
+    pattern = os.path.join(REPO_ROOT, "src", "**", "*.py")
+    for path in glob.glob(pattern, recursive=True):
+        with open(path, encoding="utf-8") as handle:
+            names.update(_ENV_READ_RE.findall(handle.read()))
+    return names
 
 
 def doc_paths() -> list[str]:
@@ -94,6 +115,15 @@ def check() -> list[str]:
             violations.append(
                 f"{path}: documents `python -m repro cache {name}` but the "
                 f"cache CLI has no such verb (has: {', '.join(sorted(verbs))})"
+            )
+
+    env_vars = read_env_vars()
+    for path, names in sorted(documented_subcommands(_ENV_MENTION_RE).items()):
+        if os.path.basename(path) in HISTORY_DOC_FILES:
+            continue
+        for name in sorted(names - env_vars):
+            violations.append(
+                f"{path}: documents `{name}` but no file under src/ reads it"
             )
 
     readme = os.path.join(REPO_ROOT, "README.md")

@@ -45,8 +45,8 @@ from repro.resilience import ResiliencePolicy, Retry, breaker_for
 from repro.resilience import deadline as _deadline
 from repro.resilience.breaker import CLOSED as _BREAKER_CLOSED
 from repro.resilience import faults as _faults
+from repro.sql import plan as _plan
 from repro.sql import rescache as _rescache
-from repro.sql import vector as _vector
 from repro.sql.ast import Query
 from repro.sql.executor import Result, execute
 from repro.sql.lint import LintReport, Severity, lint_query
@@ -791,8 +791,7 @@ class Pipeline:
     @staticmethod
     def _execute_attempt(query, db: Database) -> Result:
         if _faults._ACTIVE:
-            if _vector._VECTOR_ENABLED:
-                _faults.fire("engine.vector")
+            _faults.fire("engine.vector")
             _faults.fire("execute")
         return execute(query, db)
 
@@ -820,25 +819,25 @@ class Pipeline:
     ) -> Result | None:
         """The execute degradation ladder, rung by rung.
 
-        Rung 1 (vector-engine faults only): re-run on the row engine —
-        both engines are differentially tested identical, so this costs
-        latency, not correctness.  Rung 2: serve a result-cache ``peek``
+        Rung 1 (vector-engine faults only): re-run on a row-engine plan
+        compiled for this call alone, bypassing the plan and result
+        caches — both engines are differentially tested identical, so
+        this costs latency, not correctness, and changes no shared
+        state.  Rung 2: serve a result-cache ``peek``
         — sound because the probe is stamped with current version tokens.
         Exhausted: report execution failure (the stage records it; the
         turn still completes).
         """
         if isinstance(exc, InjectedFault) and exc.site == "engine.vector":
-            previous = _vector.set_vector_enabled(False)
+            self._mark_degraded(degraded, "execute:vector-off")
             try:
-                self._mark_degraded(degraded, "execute:vector-off")
-                try:
-                    return execute(query, db)
-                except SQLError:
-                    return None
-                except ResilienceError:
-                    pass  # keep descending
-            finally:
-                _vector.set_vector_enabled(previous)
+                return _plan.compile_query(
+                    query, db.schema, db, vectorize=False
+                ).run(db)
+            except SQLError:
+                return None
+            except ResilienceError:
+                pass  # keep descending
         cached = _rescache.peek(query, db)
         if cached is not None:
             self._mark_degraded(degraded, "execute:cached-result")

@@ -65,9 +65,8 @@ def turn_key(
 ) -> tuple | None:
     """The cache key for one turn, or None when the turn must bypass.
 
-    Bypasses when the result cache is disabled (one switch governs all
-    result-level reuse), when tracing is on (span trees must reflect
-    real stage work), under any active fault plan (a turn's outcome is
+    Bypasses when tracing is on (span trees must reflect real stage
+    work), under any active fault plan (a turn's outcome is
     then no longer a pure function of its inputs), and when the history
     holds unhashable entries.  The database-state token, the key's last
     element, carries every table's version stamp, so any mutation
@@ -77,11 +76,7 @@ def turn_key(
     ``REPRO_CHAOS`` once, after which the pipeline's stages test the
     fault flag directly.
     """
-    if (
-        _faults.active()
-        or _obs_trace._ENABLED
-        or not _rescache._ENABLED
-    ):
+    if _faults.active() or _obs_trace._ENABLED:
         return None
     if history:
         history = tuple(history)

@@ -13,9 +13,8 @@ when different queries coincidentally return equal results on one database
 Evaluating N candidates against one gold used to parse and execute the gold
 N times; gold and prediction results now both flow through the shared
 version-stamped result cache (:mod:`repro.sql.rescache`), keyed by the
-query AST, on top of the parse/plan caches of :mod:`repro.sql.plan`.  With the result cache
-disabled (``REPRO_SQL_RESCACHE=0``) or tracing on, the gold simply
-executes every time.
+query AST, on top of the parse/plan caches of :mod:`repro.sql.plan`.  With
+tracing on, the gold simply executes every time.
 """
 
 from __future__ import annotations
@@ -45,8 +44,8 @@ def _gold_result_cached(
     Delegates to the shared result cache (:mod:`repro.sql.rescache`):
     keyed by query AST + per-table version stamps, shared with
     every other ``execute()`` caller, and invalidated by *any* table
-    mutation.  With the result cache disabled or tracing on, the gold
-    executes every time (each call counts as a gold-cache miss).
+    mutation.  With tracing on, the gold executes every time (each call
+    counts as a gold-cache miss).
     *query* optionally supplies an already parsed AST to skip the parse.
     """
     try:
@@ -54,7 +53,7 @@ def _gold_result_cached(
     except SQLError as exc:
         _GOLD_MISSES.inc()
         return exc
-    if _rescache.rescache_enabled() and not _obs_trace._ENABLED:
+    if not _obs_trace._ENABLED:
         value, hit = _rescache.execute_or_error(gold_query, db)
         (_GOLD_HITS if hit else _GOLD_MISSES).inc()
         return value

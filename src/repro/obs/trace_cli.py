@@ -3,8 +3,7 @@
 Runs a SQL query through the full engine path — parse, lint, plan,
 execute — with tracing enabled, and prints the resulting hierarchical
 span tree: wall time per phase, per-operator actual row counts (the same
-numbers ``explain()`` reports), cache-miss compile spans, and subquery
-timings, e.g.::
+numbers ``explain()`` reports), and subquery timings, e.g.::
 
     python -m repro trace "SELECT name FROM products WHERE price > 500"
     python -m repro trace --domain healthcare --json "SELECT ..."
@@ -27,7 +26,7 @@ from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
 from repro.sql.lint import lint_query
 from repro.sql.parser import parse_sql
-from repro.sql.plan import attach_operator_spans, plan_for, set_optimizer_enabled
+from repro.sql.plan import attach_operator_spans, compile_query
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -66,13 +65,8 @@ def main(argv: list[str] | None = None) -> int:
     db = DatabaseGenerator(seed=args.seed).populate(
         domain_by_name(args.domain), rows_per_table=args.rows
     )
-    previous = set_optimizer_enabled(not args.no_optimizer)
-    error: SQLError | None = None
-    try:
-        with _obs_trace.tracing() as roots:
-            error = _trace_one(args.sql, db)
-    finally:
-        set_optimizer_enabled(previous)
+    with _obs_trace.tracing() as roots:
+        error = _trace_one(args.sql, db, optimize=not args.no_optimizer)
 
     for root in roots:
         print(root.render().rstrip())
@@ -89,10 +83,12 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _trace_one(sql: str, db) -> SQLError | None:
+def _trace_one(sql: str, db, optimize: bool = True) -> SQLError | None:
     """Run *sql* under a ``repro.sql.query`` root span; return any SQLError.
 
-    Each engine phase gets its own child span; the execute span grows the
+    Each engine phase gets its own child span; the plan phase compiles a
+    fresh plan (with the cost-based optimizer unless *optimize* is
+    false), bypassing the plan cache, and the execute span grows the
     per-operator subtree via :func:`repro.sql.plan.attach_operator_spans`,
     so its ``actual_rows`` attributes match ``explain()`` actuals exactly.
     """
@@ -104,7 +100,7 @@ def _trace_one(sql: str, db) -> SQLError | None:
                 report = lint_query(query, db.schema)
                 lint_span.set_attr("diagnostics", len(report.diagnostics))
             with _obs_trace.span("repro.sql.plan.phase") as plan_span:
-                plan = plan_for(query, db.schema, db)
+                plan = compile_query(query, db.schema, db, optimize)
                 plan_span.set_attr("optimized", plan.optimized)
             with _obs_trace.span("repro.sql.execute") as exec_span:
                 result, state = plan.run_traced(db)

@@ -58,9 +58,7 @@ from repro.sql.rescache import (
     configure_result_cache,
     database_state_token,
     execute_or_error,
-    rescache_enabled,
     rescache_stats,
-    set_rescache_enabled,
 )
 from repro.sql.typer import (
     ColType,
@@ -77,12 +75,10 @@ from repro.sql.plan import (
     compile_sql,
     configure_caches,
     explain,
-    optimizer_enabled,
     parse_cache_stats,
     parse_sql_cached,
     plan_cache_stats,
     plan_for,
-    set_optimizer_enabled,
 )
 from repro.sql.unparser import to_sql
 
@@ -138,16 +134,12 @@ __all__ = [
     "lint_query",
     "lint_sql",
     "normalize_sql",
-    "optimizer_enabled",
     "parse_cache_stats",
     "parse_sql",
     "parse_sql_cached",
     "plan_cache_stats",
     "plan_for",
-    "rescache_enabled",
     "rescache_stats",
-    "set_optimizer_enabled",
-    "set_rescache_enabled",
     "to_sql",
     "tokenize",
 ]

@@ -57,13 +57,12 @@ def main(argv: list[str] | None = None) -> int:
 
 def _cmd_stats(as_json: bool) -> int:
     payload = dict(_rescache.rescache_stats())
-    payload["enabled"] = _rescache.rescache_enabled()
     plans = _plan.plan_cache_stats()
     payload["plan_cache"] = {field: plans[field] for field in _PLAN_FIELDS}
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    print("result cache " + ("(enabled)" if payload["enabled"] else "(disabled)"))
+    print("result cache")
     for field in (
         "entries", "bytes", "max_bytes", "hits", "misses",
         "evictions", "oversize",

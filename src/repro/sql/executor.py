@@ -146,9 +146,9 @@ def execute(query: Query, db: Database) -> Result:
     This is the library's main execution entry point (``E(e, D) -> r`` in
     the survey's notation).  It routes through the compiled
     physical-operator engine (:mod:`repro.sql.plan`), which caches one
-    plan per (query AST, schema identity, optimizer flag) triple, so
-    repeated executions of the same query — the candidate-evaluation hot
-    path — compile exactly once.  Semantics are identical to
+    plan per (query shape, schema structure) pair, so repeated executions
+    of the same query — the candidate-evaluation hot path — compile
+    exactly once.  Semantics are identical to
     :func:`execute_reference`, the tree-walking oracle; the differential
     tests in ``tests/test_sql_plan.py`` enforce this.
 
@@ -161,11 +161,11 @@ def execute(query: Query, db: Database) -> Result:
     operator tree with actual row counts; results are bit-identical
     either way (``tests/test_obs.py`` runs that differential).
 
-    Unless disabled (``REPRO_SQL_RESCACHE=0``), execution routes through
-    the versioned result cache (:mod:`repro.sql.rescache`): a repeat of an
-    equal query AST against unchanged tables returns the
-    cached rows without running the plan at all.  Tracing bypasses the
-    cache so span trees always reflect real operator work.
+    Execution routes through the versioned result cache
+    (:mod:`repro.sql.rescache`): a repeat of an equal query AST against
+    unchanged tables returns the cached rows without running the plan at
+    all.  Tracing bypasses the cache so span trees always reflect real
+    operator work.
     """
     global _plan_module, _rescache_module
     if _plan_module is None:  # lazy: plan imports this module
@@ -178,9 +178,7 @@ def execute(query: Query, db: Database) -> Result:
         from repro.sql import rescache as _rescache
 
         _rescache_module = _rescache
-    if _rescache_module._ENABLED:
-        return _rescache_module.cached_execute(query, db)
-    return _plan_module.plan_for(query, db.schema, db).run(db)
+    return _rescache_module.cached_execute(query, db)
 
 
 def _execute_traced(query: Query, db: Database) -> Result:

@@ -27,7 +27,6 @@ from repro.sql.plan import (
     parse_cache_stats,
     parse_sql_cached,
     plan_cache_stats,
-    set_optimizer_enabled,
 )
 
 
@@ -63,21 +62,20 @@ def main(argv: list[str] | None = None) -> int:
     db = DatabaseGenerator(seed=args.seed).populate(
         domain_by_name(args.domain), rows_per_table=args.rows
     )
-    previous = set_optimizer_enabled(not args.no_optimizer)
     try:
-        try:
-            plan = compile_query(parse_sql_cached(args.sql), db.schema, db)
-        except SQLError as exc:
-            print(f"explain: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 1
-        print(plan.explain(db))
-        meta = {k: v for k, v in plan.describe().items() if v}
-        if meta:
-            print("-- operators: " + ", ".join(
-                f"{key}={value}" for key, value in sorted(meta.items())
-            ))
-    finally:
-        set_optimizer_enabled(previous)
+        plan = compile_query(
+            parse_sql_cached(args.sql), db.schema, db,
+            optimize=not args.no_optimizer,
+        )
+    except SQLError as exc:
+        print(f"explain: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    print(plan.explain(db))
+    meta = {k: v for k, v in plan.describe().items() if v}
+    if meta:
+        print("-- operators: " + ", ".join(
+            f"{key}={value}" for key, value in sorted(meta.items())
+        ))
 
     if args.counters:
         _print_counters()

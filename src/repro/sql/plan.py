@@ -72,8 +72,8 @@ using :mod:`repro.sql.stats` (row counts, NDV, histograms) and
 Every optimization preserves the reference engine's results bit-for-bit —
 rows, order, ``ordered`` flags, and error behaviour — because each is
 gated on the same static safety analysis the PR 2 engine already used for
-pushdown.  ``REPRO_SQL_OPTIMIZER=0`` (or :func:`set_optimizer_enabled`)
-disables all of it, reverting to the PR 2 plans.  :class:`PlanNode` trees
+pushdown.  ``compile_query(..., optimize=False)`` compiles without any
+of it, giving the PR 2 plans.  :class:`PlanNode` trees
 carry per-operator row estimates; :meth:`CompiledPlan.explain` renders
 them next to actual row counts.
 """
@@ -153,31 +153,7 @@ __all__ = [
     "parse_cache_stats",
     "configure_caches",
     "clear_plan_caches",
-    "optimizer_enabled",
-    "set_optimizer_enabled",
 ]
-
-#: Master switch for the cost-based optimizer; plans compiled while it is
-#: off are exactly the PR 2 plans (same operators, same counters).
-_OPTIMIZER_ENABLED = os.environ.get("REPRO_SQL_OPTIMIZER", "1") != "0"
-
-
-def optimizer_enabled() -> bool:
-    """Whether newly compiled plans use the cost-based optimizer."""
-    return _OPTIMIZER_ENABLED
-
-
-def set_optimizer_enabled(enabled: bool) -> bool:
-    """Toggle the optimizer for future compilations; returns the old value.
-
-    Cached plans compiled under the other setting are not invalidated —
-    the plan-cache key includes the optimizer flag, so both variants can
-    coexist (the differential tests exercise exactly that).
-    """
-    global _OPTIMIZER_ENABLED
-    previous = _OPTIMIZER_ENABLED
-    _OPTIMIZER_ENABLED = bool(enabled)
-    return previous
 
 #: Compiled expression: ``fn(state, rows, group, proj) -> Value`` where
 #: ``rows`` is the chain of flat row tuples (innermost frame first; an entry
@@ -255,7 +231,7 @@ class PlanNode:
         self.children = list(children)
         #: ``True``/``False`` when the vectorizer considered this operator
         #: (rendered as ``vectorized=yes/no``); ``None`` when it never did
-        #: (toggle off, or an operator kind with no columnar form).
+        #: (``vectorize=False``, or an operator kind with no columnar form).
         self.vectorized: bool | None = None
         #: ``fn(params) -> str`` for a detail that shows predicate values
         #: (an index driver's); ``None`` when ``detail`` is fixed
@@ -2988,8 +2964,8 @@ def compile_query(
     query: Query,
     schema: Schema,
     db: Database | None = None,
-    optimize: bool | None = None,
-    vectorize: bool | None = None,
+    optimize: bool = True,
+    vectorize: bool = True,
 ) -> CompiledPlan:
     """Lower *query* into a :class:`CompiledPlan` for *schema* (uncached).
 
@@ -3000,13 +2976,8 @@ def compile_query(
     (index drivers, predicate ordering, top-k sorts) still apply.  With
     the vectorizer on (independent of the optimizer), eligible operators
     swap their row closures for the columnar kernels of
-    :mod:`repro.sql.vector`; ``None`` for either flag means "use the
-    module toggle".
+    :mod:`repro.sql.vector`.
     """
-    if optimize is None:
-        optimize = _OPTIMIZER_ENABLED
-    if vectorize is None:
-        vectorize = _vector.vector_enabled()
     shaper = Shaper(build=True)
     shape = shaper.query(query, False)
     params = tuple(shaper.params)
@@ -3028,8 +2999,8 @@ def _env_size(name: str, default: int) -> int:
         return default
 
 
-#: (shape, schema structure, optimizer flag, vectorizer flag) -> the
-#: compiled plan whose operators every query of that key shares
+#: (shape, schema structure) -> the compiled plan whose operators every
+#: query of that key shares
 _PLAN_CACHE: "OrderedDict[tuple, CompiledPlan]" = OrderedDict()
 _PLAN_CACHE_MAX = _env_size("REPRO_SQL_PLAN_CACHE_SIZE", 512)
 _plan_hits = 0
@@ -3057,10 +3028,9 @@ def plan_for(
     """Compile-or-fetch the plan for (*query*, *schema*).
 
     Plans are compiled once per query shape and schema structure: the
-    bounded LRU is keyed by the query's :class:`QueryEntry` shape, the
-    schema's :attr:`~repro.data.schema.Schema.structure`, and the
-    optimizer and vectorizer flags (so toggling either never resurrects
-    plans built under the other setting).  Queries that differ only in
+    bounded LRU is keyed by the query's :class:`QueryEntry` shape and the
+    schema's :attr:`~repro.data.schema.Schema.structure`, and its plans
+    are optimized and vectorized.  Queries that differ only in
     predicate values, run on databases of one structure, share the
     compiled operators; the returned plan binds them to *query*'s values
     and *schema*, and an exact repeat returns the same object.  *db* only
@@ -3077,8 +3047,7 @@ def plan_for_entry(
 ) -> CompiledPlan:
     """:func:`plan_for` for a query whose :class:`QueryEntry` is known."""
     global _plan_hits, _plan_misses, _template_hits
-    optimize, vectorize = _OPTIMIZER_ENABLED, _vector._VECTOR_ENABLED
-    key = (entry.shape, schema.structure, optimize, vectorize)
+    key = (entry.shape, schema.structure)
     bound = entry.bound
     with _CACHE_LOCK:
         template = _PLAN_CACHE.get(key)
@@ -3095,15 +3064,11 @@ def plan_for_entry(
         else:
             _plan_misses += 1
     if template is None:
-        # the flags are passed, not re-read: a toggle flipped by another
-        # thread during the compile must not file a plan under the wrong key
         if _obs_trace._ENABLED:  # compile misses only; hits stay span-free
-            with _obs_trace.span("repro.sql.plan.compile", optimized=optimize):
-                template = compile_query(
-                    entry.query, schema, db, optimize, vectorize
-                )
+            with _obs_trace.span("repro.sql.plan.compile"):
+                template = compile_query(entry.query, schema, db)
         else:
-            template = compile_query(entry.query, schema, db, optimize, vectorize)
+            template = compile_query(entry.query, schema, db)
         template = _insert(_PLAN_CACHE, key, template, _PLAN_CACHE_MAX)
     if template.query is entry.query and template.schema is schema:
         bound = template

@@ -6,16 +6,14 @@ same questions recur over slowly-changing tables, which is exactly the
 interactive-NLI traffic shape the survey describes.  It sits between
 :func:`repro.sql.executor.execute` / ``CompiledPlan.run`` and callers:
 
-- **Keys** are ``(query AST, db identity token, per-table cache tokens,
-  engine toggles)``.  AST equality is structural and type-exact and each
+- **Keys** are ``(query AST, db identity token, per-table cache
+  tokens)``.  AST equality is structural and type-exact and each
   query node caches its hash, so the query itself is the key: a repeated
   question, parsed afresh, hits; any other spelling (a commuted
   predicate, a renamed alias) is its own entry.  Per-table tokens are
   :meth:`repro.data.database.Table.cache_token` stamps, so any
   ``append`` / ``replace_rows`` / ``invalidate_caches`` / raw ``rows``
-  swap naturally misses; stale rows are never served.  The optimizer and
-  vectorizer flags key the entry too, keeping the differential toggles
-  honest.
+  swap naturally misses; stale rows are never served.
 - **Interned ASTs.** Each AST value has one
   :class:`~repro.sql.shape.QueryEntry`, made by one walk and shared with
   the plan cache: it holds the first equal AST seen, the table names the
@@ -36,11 +34,9 @@ interactive-NLI traffic shape the survey describes.  It sits between
 - **Hits share the stored result**: a ``Result`` is frozen, so hits,
   misses and :func:`peek` return the one stored object, uncopied.
 
-``REPRO_SQL_RESCACHE=0`` (or :func:`set_rescache_enabled`) disables the
-cache; the disabled path is a single flag check in ``execute()``
-(<5% overhead, asserted by ``benchmarks/bench_result_cache.py``).  When
-tracing (:mod:`repro.obs.trace`) is enabled, ``execute()`` bypasses the
-cache entirely so span trees keep reflecting real per-operator work.
+``execute()`` always routes through the cache, except while tracing
+(:mod:`repro.obs.trace`) is enabled: then it bypasses the cache entirely
+so span trees keep reflecting real per-operator work.
 
 Observability: ``repro.sql.rescache.hits`` / ``.misses`` / ``.evictions``
 / ``.oversize`` counters and ``repro.sql.rescache.bytes`` / ``.entries``
@@ -60,7 +56,6 @@ from repro.data.identity import identity_token
 from repro.errors import SQLError
 from repro.obs import metrics as _obs_metrics
 from repro.sql import plan as _plan
-from repro.sql import vector as _vector
 from repro.sql.ast import Query
 from repro.sql.shape import QueryEntry, clear_query_entries, query_entry
 from repro.sql.executor import Result
@@ -72,9 +67,7 @@ __all__ = [
     "database_state_token",
     "execute_or_error",
     "peek",
-    "rescache_enabled",
     "rescache_stats",
-    "set_rescache_enabled",
 ]
 
 
@@ -85,7 +78,6 @@ def _env_bytes(name: str, default: int) -> int:
         return default
 
 
-_ENABLED = os.environ.get("REPRO_SQL_RESCACHE", "1") != "0"
 _MAX_BYTES = _env_bytes("REPRO_SQL_RESCACHE_BYTES", 32 * 1024 * 1024)
 
 #: Same discipline as the plan/parse LRUs: the parallel driver's
@@ -208,15 +200,7 @@ def _result_key(entry: QueryEntry, db: Database) -> tuple | None:
         if table is None:
             return None
         tokens.append((name,) + table.cache_token())
-    # direct flag reads: this is the hot probe path and the accessor
-    # functions are pure attribute returns
-    return (
-        entry.query,
-        identity_token(db),
-        tuple(tokens),
-        _plan._OPTIMIZER_ENABLED,
-        _vector._VECTOR_ENABLED,
-    )
+    return entry.query, identity_token(db), tuple(tokens)
 
 
 def _lookup_or_run(query: Query, db: Database) -> tuple:
@@ -279,8 +263,7 @@ def cached_execute(query: Query, db: Database) -> Result:
     Semantics are identical to :func:`repro.sql.executor.execute`: the
     same :class:`Result` (the stored object — it is immutable), or the
     same :class:`~repro.errors.SQLError` raised.  Callers normally reach this
-    via ``execute()``, which routes here whenever the cache is enabled
-    and tracing is off.
+    via ``execute()``, which routes here whenever tracing is off.
     """
     value, _ = _lookup_or_run(query, db)
     if isinstance(value, SQLError):
@@ -311,8 +294,6 @@ def peek(query: Query, db: Database):
     times out or faults, a peeked result is a correct answer, and a miss
     simply means the ladder is exhausted.
     """
-    if not _ENABLED:
-        return None
     key = _result_key(query_entry(query), db)
     if key is None:
         return None
@@ -329,24 +310,6 @@ def peek(query: Query, db: Database):
 # ----------------------------------------------------------------------
 # control surface
 # ----------------------------------------------------------------------
-def rescache_enabled() -> bool:
-    """Whether ``execute()`` routes through the result cache."""
-    return _ENABLED
-
-
-def set_rescache_enabled(enabled: bool) -> bool:
-    """Toggle the result cache; returns the previous setting.
-
-    Disabling does not drop existing entries (re-enabling resumes with a
-    warm cache); every entry is version-stamped, so nothing can go stale
-    while the cache sits idle.  Use :func:`clear_result_cache` to drop.
-    """
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
 def rescache_stats() -> dict:
     """Occupancy and effectiveness counters, ``plan_cache_stats``-style."""
     with _LOCK:

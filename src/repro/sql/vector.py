@@ -35,9 +35,9 @@ three-way differential tests in ``tests/test_sql_vector.py`` enforce
 agreement with both the row-compiled engine and the reference interpreter
 over the generated corpora.
 
-``REPRO_SQL_VECTOR=0`` (or :func:`set_vector_enabled`) disables the whole
-subsystem; plans compiled while it is off are exactly the prior row plans
-(the plan cache is keyed by the toggle, so both coexist).  The
+``compile_query(..., vectorize=False)`` compiles one plan without any
+of these kernels: the row plans that the differential tests compare
+against and that the execute ladder's degradation rung runs.  The
 ``repro.sql.vector.batches`` counter tallies vectorized batch executions
 and ``repro.sql.vector.fallbacks`` tallies operators that were eligible
 but fell back to row-at-a-time at compile time.
@@ -45,7 +45,6 @@ but fell back to row-at-a-time at compile time.
 
 from __future__ import annotations
 
-import os
 import weakref
 from operator import itemgetter
 from typing import Any, Callable, Iterable
@@ -87,39 +86,15 @@ __all__ = [
     "compile_value",
     "grouped_rows",
     "aggregate_column",
-    "vector_enabled",
-    "set_vector_enabled",
 ]
-
-#: Master switch; plans compiled while it is off contain no vectorized
-#: operators (same closures, same counters as before this module existed).
-_VECTOR_ENABLED = os.environ.get("REPRO_SQL_VECTOR", "1") != "0"
-
-
-def vector_enabled() -> bool:
-    """Whether newly compiled plans may use vectorized operators."""
-    return _VECTOR_ENABLED
-
-
-def set_vector_enabled(enabled: bool) -> bool:
-    """Toggle vectorization for future compilations; returns the old value.
-
-    Cached plans compiled under the other setting are not invalidated —
-    the plan-cache key includes this flag, so both variants coexist (the
-    differential tests exercise exactly that).
-    """
-    global _VECTOR_ENABLED
-    previous = _VECTOR_ENABLED
-    _VECTOR_ENABLED = bool(enabled)
-    return previous
 
 
 _registry = _obs_metrics.get_registry()
 #: One increment per vectorized batch executed (a scan's filter pass, a
 #: grouped aggregation, a hash-join build+probe).
 BATCHES = _registry.counter("repro.sql.vector.batches")
-#: One increment per operator that was eligible for vectorization while
-#: the toggle was on but fell back to the row engine at compile time.
+#: One increment per operator of a vectorized plan that was eligible for
+#: vectorization but fell back to the row engine at compile time.
 FALLBACKS = _registry.counter("repro.sql.vector.fallbacks")
 
 

@@ -22,7 +22,6 @@ from repro.obs import trace as obs_trace
 from repro.parsers.vis.base import VisParser
 from repro.resilience import breaker_for, clear_faults, install_faults
 from repro.serve import ServeConfig, Server
-from repro.sql.rescache import set_rescache_enabled
 from repro.systems import PipelineSystem
 
 #: paraphrases of one chart request: one VQL program on the shop database
@@ -171,23 +170,19 @@ def test_a_degraded_turn_is_not_stored(shop_db):
     assert not pipeline.turn_cache._charts
 
 
-@pytest.mark.parametrize("bypass", ["fault plan", "tracing", "no result cache"])
+@pytest.mark.parametrize("bypass", ["fault plan", "tracing"])
 def test_bypassed_with_the_turn_cache(shop_db, bypass):
     pipeline = PipelineSystem().pipeline
     if bypass == "fault plan":
         # a plan on a site no chart turn reaches: active, never firing
         install_faults("execute:error", seed=1)
-    elif bypass == "tracing":
-        obs_trace.enable()
     else:
-        previous = set_rescache_enabled(False)
+        obs_trace.enable()
     try:
         traces = [pipeline.run(q, shop_db) for q in CHART_QS * 2]
     finally:
         clear_faults()
         obs_trace.disable()
-        if bypass == "no result cache":
-            set_rescache_enabled(previous)
     assert (_hits(), _misses()) == (0, 0)
     assert not pipeline.turn_cache._charts
     assert not any(trace.cached or trace.degraded for trace in traces)

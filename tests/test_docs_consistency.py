@@ -46,3 +46,20 @@ def test_unknown_cache_verb_is_drift(tmp_path, monkeypatch):
     violations = check_docs.check()
     assert [v for v in violations if "`python -m repro cache flush`" in v]
     assert not [v for v in violations if "cache stats`" in v]
+
+
+def test_unread_env_var_is_drift(tmp_path, monkeypatch):
+    doc = tmp_path / "stale.md"
+    doc.write_text(
+        "REPRO_SQL_RESCACHE_BYTES=1024 sizes the result cache.\n"
+        "REPRO_SQL_TURBO=1 turns on a setting nothing reads.\n",
+        encoding="utf-8",
+    )
+    history = tmp_path / "EXPERIMENTS.md"
+    history.write_text("REPRO_SQL_TURBO=1 was measured once.\n",
+                       encoding="utf-8")
+    monkeypatch.setattr(check_docs, "doc_paths",
+                        lambda: [str(doc), str(history)])
+    violations = [v for v in check_docs.check() if "REPRO_" in v]
+    assert len(violations) == 1
+    assert "stale.md: documents `REPRO_SQL_TURBO`" in violations[0]

@@ -31,10 +31,8 @@ from repro.sql.plan import (
     compile_query,
     plan_cache_stats,
     plan_for,
-    set_optimizer_enabled,
 )
 from repro.sql.shape import query_entry
-from repro.sql.vector import set_vector_enabled
 
 NUM = ColumnType.NUMBER
 TXT = ColumnType.TEXT
@@ -80,20 +78,20 @@ def _outcome(run):
     return ("ok", tuple(result.columns), rows, result.ordered)
 
 
-@pytest.fixture
-def engine_flags():
-    """Set the module engine toggles for a test; restore afterwards."""
-    saved = (set_optimizer_enabled(True), set_vector_enabled(True))
-    clear_plan_caches()
-
-    def set_flags(optimize: bool, vectorize: bool) -> None:
-        set_optimizer_enabled(optimize)
-        set_vector_enabled(vectorize)
-
-    yield set_flags
-    set_optimizer_enabled(saved[0])
-    set_vector_enabled(saved[1])
-    clear_plan_caches()
+def engine_plan(templates: dict, query, db: Database, optimize: bool,
+                vectorize: bool):
+    """``plan_for`` under per-call engine flags: the template
+    ``compile_query`` built for *query*'s shape and *db*'s structure under
+    these flags (compiled on first use and kept in *templates*), bound
+    through ``CompiledPlan.bind`` to *query*'s values and *db*'s schema."""
+    entry = query_entry(query)
+    key = (entry.shape, db.schema.structure, optimize, vectorize)
+    template = templates.get(key)
+    if template is None:
+        template = templates[key] = compile_query(
+            query, db.schema, db, optimize, vectorize
+        )
+    return template.bind(query, db.schema, entry.params)
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +260,8 @@ def people_db() -> Database:
     return db
 
 
-def test_explain_shows_each_callers_values(people_db, engine_flags):
+def test_explain_shows_each_callers_values(people_db):
+    clear_plan_caches()
     plans = {}
     for age in (30, 40):
         query = parse_sql(f"SELECT name FROM people WHERE age = {age}")
@@ -277,7 +276,8 @@ def test_explain_shows_each_callers_values(people_db, engine_flags):
         assert plan.run(people_db).rows == expected.rows
 
 
-def test_operator_spans_show_each_callers_values(people_db, engine_flags):
+def test_operator_spans_show_each_callers_values(people_db):
+    clear_plan_caches()
     details = {}
     for age in (30, 40):
         query = parse_sql(f"SELECT name FROM people WHERE age = {age}")
@@ -400,15 +400,14 @@ def _schema_b(schema: Schema) -> Schema:
        engine=st.sampled_from([(True, True), (True, False),
                                (False, True), (False, False)]),
        index_rows=st.sampled_from([1, 32]))
-def test_shared_plan_matches_reference(shop_schema, engine_flags, data, case,
-                                       engine, index_rows):
+def test_shared_plan_matches_reference(shop_schema, data, case, engine,
+                                       index_rows):
     template, first, second = case
     q1, q2 = _fill(template, first), _fill(template, second)
     db_a = data.draw(_database(shop_schema), label="db_a")
     db_b = data.draw(_database(_schema_b(shop_schema)), label="db_b")
     previous = sqlindex.set_min_index_rows(index_rows)
     try:
-        engine_flags(*engine)
         clear_plan_caches()
         shared = query_entry(q1).shape == query_entry(q2).shape
         # cold: compile on A with the first values
@@ -426,20 +425,25 @@ def test_shared_plan_matches_reference(shop_schema, engine_flags, data, case,
         assert _outcome(lambda: plan_b.run(db_b)) == expected
         assert _outcome(lambda: execute(q2, db_b)) == expected
         assert _outcome(lambda: execute(q2, db_b)) == expected
-        # the per-call engine flags, binding a plan compiled on A
-        if shared:
-            compiled = compile_query(q1, db_a.schema, db_a, *engine)
-            bound = compiled.bind(q2, db_b.schema, query_entry(q2).params)
-            assert _outcome(lambda: bound.run(db_b)) == expected
+        # the per-call engine flags: a template compiled on A answers A
+        # and, bound to B's schema and values, B
+        templates: dict = {}
+        flagged_a = engine_plan(templates, q1, db_a, *engine)
+        assert _outcome(lambda: flagged_a.run(db_a)) == _outcome(
+            lambda: execute_reference(q1, db_a))
+        flagged_b = engine_plan(templates, q2, db_b, *engine)
+        assert len(templates) == (1 if shared else 2)
+        assert _outcome(lambda: flagged_b.run(db_b)) == expected
+        assert _outcome(lambda: flagged_b.run_traced(db_b)[0]) == expected
     finally:
         sqlindex.set_min_index_rows(previous)
 
 
-def test_nan_comparands_follow_the_reference(shop_db, engine_flags):
+def test_nan_comparands_follow_the_reference(shop_db):
     # NaN is neither equal to nor ordered against any number; every
     # engine must answer like compare_values, operand order included
     for optimize, vectorize in ((True, True), (True, False), (False, True)):
-        engine_flags(optimize, vectorize)
+        templates: dict = {}
         previous = sqlindex.set_min_index_rows(1)
         try:
             for sql in (
@@ -451,7 +455,8 @@ def test_nan_comparands_follow_the_reference(shop_db, engine_flags):
             ):
                 for value in (5.0, math.nan):
                     query = _fill(parse_sql(sql), {0: value})
-                    got = plan_for(query, shop_db.schema, shop_db).run(shop_db)
+                    got = engine_plan(templates, query, shop_db, optimize,
+                                      vectorize).run(shop_db)
                     expected = execute_reference(query, shop_db)
                     assert got.rows == expected.rows, (sql, value, optimize,
                                                        vectorize)
@@ -460,7 +465,7 @@ def test_nan_comparands_follow_the_reference(shop_db, engine_flags):
 
 
 @pytest.mark.parametrize("order", [(0.0, -0.0), (-0.0, 0.0)])
-def test_signed_zero_patterns_stay_apart(engine_flags, order):
+def test_signed_zero_patterns_stay_apart(order):
     # 0.0 == -0.0 in Python, but LIKE matches the pattern's text, so
     # every AST-keyed cache must keep the two programs apart
     schema = Schema(
@@ -474,14 +479,16 @@ def test_signed_zero_patterns_stay_apart(engine_flags, order):
     queries = [_fill(template, {0: value}) for value in order]
     assert queries[0] != queries[1]
     assert hash(queries[0]) != hash(queries[1])
-    for optimize, vectorize in ((True, True), (False, False)):
-        engine_flags(optimize, vectorize)
-        for _ in ("cold", "warm"):
-            for query in queries:
-                expected = _outcome(lambda: execute_reference(query, db))
-                assert _outcome(lambda: execute(query, db)) == expected
-                plan = plan_for(query, db.schema, db)
-                assert _outcome(lambda: plan.run(db)) == expected
+    clear_plan_caches()
+    templates: dict = {}
+    for _ in ("cold", "warm"):
+        for query in queries:
+            expected = _outcome(lambda: execute_reference(query, db))
+            assert _outcome(lambda: execute(query, db)) == expected
+            plan = plan_for(query, db.schema, db)
+            assert _outcome(lambda: plan.run(db)) == expected
+            plan = engine_plan(templates, query, db, False, False)
+            assert _outcome(lambda: plan.run(db)) == expected
 
 
 def test_signed_zero_literals_split_the_kept_shape():

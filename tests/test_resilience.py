@@ -10,6 +10,8 @@ identical to the plain one's.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core.pipeline import Pipeline, PipelineTrace
@@ -43,9 +45,9 @@ from repro.resilience import (
 )
 from repro.resilience import breaker as breaker_mod
 from repro.resilience import faults as faults_mod
+from repro.sql import plan as plan_mod
 from repro.sql import rescache
-from repro.sql import vector as vector_mod
-from repro.sql.executor import execute
+from repro.sql.executor import execute, execute_reference
 from repro.sql.parser import parse_sql
 from repro.systems import InteractiveSession, PipelineSystem
 
@@ -535,8 +537,6 @@ class TestPipelineLadders:
         assert trace.result is None
 
     def test_vector_fault_degrades_to_row_engine(self, shop_db):
-        if not vector_mod.vector_enabled():
-            pytest.skip("vector engine disabled in this environment")
         pipeline = _pipeline(_policy())
         install_faults("engine.vector:error")
         trace = pipeline.run(
@@ -546,7 +546,63 @@ class TestPipelineLadders:
         assert trace.error is None
         assert trace.result.rows == ((4,),)
         assert trace.degraded == ("execute:vector-off",)
-        assert vector_mod.vector_enabled()  # toggle restored
+        assert all(p.vectorized for p in plan_mod._PLAN_CACHE.values())
+
+    def test_overlapping_vector_off_rungs_leave_no_shared_state(
+        self, shop_db, monkeypatch
+    ):
+        # two workers on the vector-off rung, overlapping as T1 in, T2 in,
+        # T1 out, T2 out: a rung that flipped a process-wide engine switch
+        # and restored its saved value would leave later plans unvectorized
+        plan_mod.clear_plan_caches()
+        query = parse_sql("SELECT COUNT(*) FROM products")
+        pipeline = _pipeline(_policy())
+        entered = {name: threading.Event() for name in ("T1", "T2")}
+        leave = {name: threading.Event() for name in ("T1", "T2")}
+        answers: dict = {}
+        run = plan_mod.CompiledPlan.run
+
+        def gated_run(plan, db):
+            name = threading.current_thread().name
+            if name in entered:
+                entered[name].set()
+                assert leave[name].wait(10)
+            return run(plan, db)
+
+        def rung(name):
+            degraded: list[str] = []
+            fault = InjectedFault("engine.vector")
+            answers[name] = (
+                pipeline._execute_ladder(query, shop_db, degraded, fault),
+                degraded,
+            )
+
+        monkeypatch.setattr(plan_mod.CompiledPlan, "run", gated_run)
+        workers = {
+            name: threading.Thread(target=rung, args=(name,), name=name)
+            for name in ("T1", "T2")
+        }
+        try:
+            workers["T1"].start()
+            assert entered["T1"].wait(10)  # T1 in
+            workers["T2"].start()
+            assert entered["T2"].wait(10)  # T2 in
+            leave["T1"].set()
+            workers["T1"].join(10)  # T1 out
+            leave["T2"].set()
+            workers["T2"].join(10)  # T2 out
+        finally:
+            for event in leave.values():
+                event.set()
+        monkeypatch.undo()
+        assert not any(worker.is_alive() for worker in workers.values())
+        expected = execute_reference(query, shop_db)
+        for result, degraded in answers.values():
+            assert result == expected
+            assert degraded == ["execute:vector-off"]
+        assert len(answers) == 2
+        assert plan_mod.plan_for(query, shop_db.schema, shop_db).vectorized
+        assert all(p.vectorized for p in plan_mod._PLAN_CACHE.values())
 
     def test_render_fault_degrades_to_data_only(self, shop_db):
         pipeline = _pipeline(_policy())

@@ -621,7 +621,6 @@ class TestTurnCache:
     def test_turn_key_bypasses(self, sales_db):
         from repro.obs import trace as obs_trace
         from repro.resilience import clear_faults, install_faults
-        from repro.sql import rescache
 
         assert turn_key("q", sales_db, None, [("a", 1)]) is not None
         assert turn_key("q", sales_db, None, [("a", [1])]) is None
@@ -632,11 +631,6 @@ class TestTurnCache:
             clear_faults()
         with obs_trace.tracing():
             assert turn_key("q", sales_db, None, None) is None
-        previous = rescache.set_rescache_enabled(False)
-        try:
-            assert turn_key("q", sales_db, None, None) is None
-        finally:
-            rescache.set_rescache_enabled(previous)
         assert turn_key("q", sales_db, None, None) is not None
 
     def test_none_key_always_computes(self):

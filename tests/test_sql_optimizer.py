@@ -27,9 +27,7 @@ from repro.sql.plan import (
     explain,
     parse_cache_stats,
     plan_cache_stats,
-    set_optimizer_enabled,
 )
-from repro.sql.vector import set_vector_enabled
 from tests.test_sql_plan import _AGGS, _CMPS, _COLS, _NUM_COLS, _random_query
 
 NUM = ColumnType.NUMBER
@@ -44,7 +42,7 @@ def tiny_index_threshold():
     sqlindex.set_min_index_rows(previous)
 
 
-def assert_three_way(sql: str, db: Database) -> None:
+def assert_three_way(sql: str, db: Database, vectorize: bool = True) -> None:
     """Reference, optimizer-off, and optimizer-on must agree exactly."""
     query = parse_sql(sql)
     try:
@@ -52,11 +50,13 @@ def assert_three_way(sql: str, db: Database) -> None:
     except SQLError as exc:
         for optimize in (False, True):
             with pytest.raises(type(exc)) as info:
-                compile_query(query, db.schema, db, optimize=optimize).run(db)
+                compile_query(query, db.schema, db, optimize=optimize,
+                              vectorize=vectorize).run(db)
             assert str(info.value) == str(exc), (sql, optimize)
         return
     for optimize in (False, True):
-        got = compile_query(query, db.schema, db, optimize=optimize).run(db)
+        got = compile_query(query, db.schema, db, optimize=optimize,
+                            vectorize=vectorize).run(db)
         assert got.columns == expected.columns, (sql, optimize)
         assert got.rows == expected.rows, (sql, optimize)
         assert got.ordered == expected.ordered, (sql, optimize)
@@ -282,12 +282,8 @@ class TestShadowedSubqueryProperty:
                                         request):
         db = request.getfixturevalue(db_name)
         rng = random.Random(seed)
-        previous = set_vector_enabled(vectorize)
-        try:
-            for _ in range(150):
-                assert_three_way(_random_subquery_query(rng), db)
-        finally:
-            set_vector_enabled(previous)
+        for _ in range(150):
+            assert_three_way(_random_subquery_query(rng), db, vectorize)
 
 
 # ----------------------------------------------------------------------
@@ -462,20 +458,6 @@ class TestExplainAndCaches:
         ])
         assert rc == 0
         assert "correlated on c.customer_id" in capsys.readouterr().out
-
-    def test_optimizer_toggle_keys_plan_cache(self, shop_db):
-        clear_plan_caches()
-        sql = "SELECT name FROM products WHERE price > 5"
-        on = compile_sql(sql, shop_db.schema, shop_db)
-        assert on.optimized
-        previous = set_optimizer_enabled(False)
-        try:
-            off = compile_sql(sql, shop_db.schema, shop_db)
-            assert not off.optimized
-            assert off is not on
-            assert off.run(shop_db).rows == on.run(shop_db).rows
-        finally:
-            set_optimizer_enabled(previous)
 
     def test_configurable_cache_sizes(self, shop_db):
         clear_plan_caches()

@@ -193,18 +193,14 @@ class TestPlanCache:
         assert plan_cache_stats()["misses"] == 2
 
     def test_execute_routes_through_plan_cache(self, shop_db):
-        # with the result cache on, a repeat is served above the planner;
-        # disable it so the second execute exercises the plan cache
-        from repro.sql import rescache
-
+        # an exact repeat is served by the result cache above the planner;
+        # two predicate values of one shape each miss it and share a plan
         clear_plan_caches()
-        query = parse_sql("SELECT COUNT(*) FROM sales")
-        previous = rescache.set_rescache_enabled(False)
-        try:
-            execute(query, shop_db)
-            execute(query, shop_db)
-        finally:
-            rescache.set_rescache_enabled(previous)
+        for quantity in (1, 2):
+            query = parse_sql(
+                f"SELECT COUNT(*) FROM sales WHERE quantity > {quantity}"
+            )
+            assert execute(query, shop_db) == execute_reference(query, shop_db)
         stats = plan_cache_stats()
         assert stats["hits"] >= 1
 

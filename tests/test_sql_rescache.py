@@ -31,7 +31,7 @@ from repro.sql.plan import (
     explain,
 )
 from repro.sql.unparser import to_sql
-from repro.sql.vector import set_vector_enabled
+from tests.test_plan_shapes import engine_plan
 
 
 def _snap(result):
@@ -102,22 +102,24 @@ class TestEquivalentSpellings:
         qa, qb = parse_sql(a), parse_sql(b)
         expected = _snap(execute_reference(qa, shop_db))
         assert _snap(execute_reference(qb, shop_db)) == expected
-        for vector in (False, True):
-            previous = set_vector_enabled(vector)
-            try:
-                rescache.clear_result_cache()
-                for _ in range(2):  # cold, then warm
-                    for query in (qa, qb):
-                        assert _snap(execute(query, shop_db)) == expected
-            finally:
-                set_vector_enabled(previous)
-            stats = rescache.rescache_stats()
-            # one entry per distinct AST: keyword case and whitespace
-            # parse to one AST, every other pair makes two entries
-            distinct = len({qa, qb})
-            assert stats["entries"] == distinct
-            assert stats["misses"] == distinct
-            assert stats["hits"] == 4 - distinct
+        rescache.clear_result_cache()
+        for _ in range(2):  # cold, then warm
+            for query in (qa, qb):
+                assert _snap(execute(query, shop_db)) == expected
+        stats = rescache.rescache_stats()
+        # one entry per distinct AST: keyword case and whitespace
+        # parse to one AST, every other pair makes two entries
+        distinct = len({qa, qb})
+        assert stats["entries"] == distinct
+        assert stats["misses"] == distinct
+        assert stats["hits"] == 4 - distinct
+        for optimize in (False, True):
+            for vectorize in (False, True):
+                for query in (qa, qb):
+                    plan = compile_query(query, shop_db.schema, shop_db,
+                                         optimize, vectorize)
+                    assert _snap(plan.run(shop_db)) == expected, (
+                        query, optimize, vectorize)
 
 
 class TestExplain:
@@ -270,17 +272,6 @@ class TestResultCache:
         assert type(second.value) is type(first.value)
         assert second.value.args == first.value.args
 
-    def test_disable_toggle(self, shop_db):
-        q = parse_sql("SELECT name FROM products")
-        previous = rescache.set_rescache_enabled(False)
-        try:
-            execute(q, shop_db)
-            execute(q, shop_db)
-            stats = rescache.rescache_stats()
-            assert stats["hits"] == 0 and stats["misses"] == 0
-        finally:
-            rescache.set_rescache_enabled(previous)
-
     def test_tracing_bypasses_cache(self, shop_db):
         from repro.obs import trace as obs_trace
 
@@ -320,18 +311,6 @@ class TestResultCache:
         small_budget(10_000)  # register restore
         configure_caches(result_bytes=4321)
         assert rescache.rescache_stats()["max_bytes"] == 4321
-
-    def test_engine_toggles_key_entries(self, shop_db):
-        q = parse_sql("SELECT name FROM products WHERE price > 5")
-        previous = set_vector_enabled(True)
-        try:
-            execute(q, shop_db)
-            set_vector_enabled(False)
-            execute(q, shop_db)
-        finally:
-            set_vector_enabled(previous)
-        stats = rescache.rescache_stats()
-        assert stats["misses"] == 2 and stats["hits"] == 0
 
 
 class TestKeyMemo:
@@ -482,7 +461,7 @@ class TestConsumers:
         healed = session.ask(question)
         assert healed.kind == "chart" and healed.chart.points
 
-    @pytest.mark.parametrize("mode", ["tracing", "rescache-off"])
+    @pytest.mark.parametrize("mode", ["tracing", "cached"])
     def test_gold_sees_same_size_replace_rows(self, shop_db, mode):
         # the gold result must follow a mutation that keeps the row count
         from repro.metrics.execution import execution_match
@@ -492,7 +471,6 @@ class TestConsumers:
         products = shop_db.table("products")
         if mode == "tracing":
             obs_trace.enable()
-        previous = rescache.set_rescache_enabled(mode != "rescache-off")
         try:
             assert execution_match(gold, gold, shop_db)
             products.replace_rows(
@@ -504,7 +482,6 @@ class TestConsumers:
             )
             assert execution_match(predicted, gold, shop_db)
         finally:
-            rescache.set_rescache_enabled(previous)
             obs_trace.disable()
 
     def test_gold_missing_table_scores_false(self, shop_db):
@@ -611,34 +588,33 @@ STORM_QUERIES = [
 class TestStalenessProperty:
     @pytest.mark.parametrize("vector", [False, True], ids=["row", "vector"])
     def test_interleaved_mutations_never_serve_stale(self, shop_db, vector):
-        """Random mutation/read interleaving: every cached read must be
-        byte-identical to the uncached reference oracle."""
+        """Random mutation/read interleaving: every cached read, and every
+        read through a plan of this engine compiled before the mutations,
+        must be byte-identical to the uncached reference oracle."""
         rng = random.Random(20260808 + vector)
         queries = [parse_sql(sql) for sql in STORM_QUERIES]
-        previous = set_vector_enabled(vector)
-        try:
-            for step in range(120):
-                roll = rng.random()
-                if roll < 0.15:
-                    db_table = shop_db.table("products")
-                    db_table.append(
-                        (100 + step, f"p{step}", "tools", float(step % 7))
-                    )
-                elif roll < 0.25:
-                    table = shop_db.table(rng.choice(("products", "sales")))
-                    rows = list(table.rows)
-                    rng.shuffle(rows)
-                    table.replace_rows(rows[: max(1, len(rows) - 1)])
-                elif roll < 0.3:
-                    shop_db.table("sales").invalidate_caches()
-                query = rng.choice(queries)
-                cached = execute(query, shop_db)
-                oracle = execute_reference(query, shop_db)
-                assert _snap(cached) == _snap(oracle), (
-                    f"stale result at step {step} for {to_sql(query)}"
+        templates: dict = {}
+        for step in range(120):
+            roll = rng.random()
+            if roll < 0.15:
+                db_table = shop_db.table("products")
+                db_table.append(
+                    (100 + step, f"p{step}", "tools", float(step % 7))
                 )
-        finally:
-            set_vector_enabled(previous)
+            elif roll < 0.25:
+                table = shop_db.table(rng.choice(("products", "sales")))
+                rows = list(table.rows)
+                rng.shuffle(rows)
+                table.replace_rows(rows[: max(1, len(rows) - 1)])
+            elif roll < 0.3:
+                shop_db.table("sales").invalidate_caches()
+            query = rng.choice(queries)
+            cached = execute(query, shop_db)
+            planned = engine_plan(templates, query, shop_db, True, vector)
+            oracle = _snap(execute_reference(query, shop_db))
+            stale = f"stale result at step {step} for {to_sql(query)}"
+            assert _snap(cached) == oracle, stale
+            assert _snap(planned.run(shop_db)) == oracle, stale
         stats = rescache.rescache_stats()
         assert stats["hits"] > 0  # the storm actually exercised the cache
 
@@ -658,7 +634,7 @@ class TestCacheCLI:
         execute(parse_sql("SELECT name FROM products WHERE id = 2"), shop_db)
         assert main(["stats", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["entries"] == 3 and payload["enabled"] is True
+        assert payload["entries"] == 3 and "enabled" not in payload
         plans = payload["plan_cache"]
         assert (plans["size"], plans["hits"], plans["misses"]) == (2, 1, 2)
         assert plans["template_hits"] == 1
@@ -671,7 +647,8 @@ class TestCacheCLI:
         execute(parse_sql("SELECT name FROM products"), shop_db)
         assert main(["stats"]) == 0
         out = capsys.readouterr().out
-        assert "result cache (enabled)" in out and "plan cache" in out
+        lines = out.splitlines()
+        assert lines[0] == "result cache" and "plan cache" in lines
         for field in ("max_size", "misses: 1", "template_hits: 0"):
             assert field in out
 

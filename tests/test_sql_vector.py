@@ -5,8 +5,8 @@ row-compiled plan and the vectorized plan must both agree with it — same
 columns, rows, ordered-ness, and on failing queries the same error type
 and message.  Coverage mirrors ``test_sql_plan``: every gold query from
 the generated spider/wikisql/nvbench corpora, a seeded random-query
-sweep, plus targeted tests for the batch cache, the explain annotations,
-the obs counters, and the ``REPRO_SQL_VECTOR`` toggle.
+sweep, plus targeted tests for the batch cache, the explain annotations
+and the obs counters.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from repro.sql import vector as vec
 from repro.sql.executor import execute_reference
 from repro.sql.parser import parse_sql
 from repro.sql.plan import clear_plan_caches, compile_query, plan_for
+from tests.test_plan_shapes import engine_plan
 
 #: (optimize, vectorize) settings every query is checked under
 _ENGINE_MODES = ((True, False), (True, True), (False, True))
@@ -89,27 +90,28 @@ def _typed(rows: list) -> list:
     return [tuple((type(v), v) for v in row) for row in rows]
 
 
-def assert_cached_paths_agree(sql: str, db: Database) -> None:
-    """Reference vs the *cached* row and vector plans (``plan_for``),
-    compared type-exactly: a plan cached for one query must never answer
-    a different one."""
+def assert_cached_paths_agree(sql: str, db: Database,
+                              row_templates: dict) -> None:
+    """Reference vs the *cached* vector plan (``plan_for``) and the row
+    plan bound from a shared template (*row_templates*, filled by
+    :func:`engine_plan`), compared type-exactly: a plan compiled for one
+    query must never answer a different one."""
     query = parse_sql(sql)
     try:
         expected = execute_reference(query, db)
     except SQLError as exc:
         expected = exc
     for vectorize in (False, True):
-        previous = vec.set_vector_enabled(vectorize)
-        try:
+        if vectorize:
             plan = plan_for(query, db.schema, db)
-            if isinstance(expected, SQLError):
-                with pytest.raises(type(expected)) as info:
-                    plan.run(db)
-                assert str(info.value) == str(expected), (sql, vectorize)
-                continue
-            got = plan.run(db)
-        finally:
-            vec.set_vector_enabled(previous)
+        else:
+            plan = engine_plan(row_templates, query, db, True, False)
+        if isinstance(expected, SQLError):
+            with pytest.raises(type(expected)) as info:
+                plan.run(db)
+            assert str(info.value) == str(expected), (sql, vectorize)
+            continue
+        got = plan.run(db)
         assert got.columns == expected.columns, (sql, vectorize)
         assert _typed(got.rows) == _typed(expected.rows), (sql, vectorize)
         assert got.ordered == expected.ordered, (sql, vectorize)
@@ -136,6 +138,7 @@ def test_seeded_typed_literal_twins_differential(shop_db):
     from tests.test_sql_plan import _random_query
 
     clear_plan_caches()
+    row_templates: dict = {}
     rng = random.Random(8642)
     for _ in range(60):
         base = _random_query(rng)
@@ -144,7 +147,7 @@ def test_seeded_typed_literal_twins_differential(shop_db):
         for literal in twins:
             sql = _with_twin(base, literal)
             assert_three_way_agree(sql, shop_db)
-            assert_cached_paths_agree(sql, shop_db)
+            assert_cached_paths_agree(sql, shop_db, row_templates)
 
 
 @pytest.mark.parametrize("twins", _TYPED_TWINS)
@@ -154,13 +157,14 @@ def test_typed_literals_never_share_a_cached_plan(twins, shop_db):
     from repro.sql.executor import execute
 
     clear_plan_caches()
+    row_templates: dict = {}
     for literal in (twins[1], twins[0], twins[2]):
         sql = f"SELECT {literal} FROM products"
         expected = execute_reference(parse_sql(sql), shop_db)
         got = execute(parse_sql(sql), shop_db)
         assert got.columns == expected.columns == (literal.lower(),), sql
         assert _typed(got.rows) == _typed(expected.rows), sql
-        assert_cached_paths_agree(sql, shop_db)
+        assert_cached_paths_agree(sql, shop_db, row_templates)
 
 
 def test_random_queries_on_generated_database(sales_db):
@@ -243,6 +247,10 @@ class TestVectorMachinery:
         text = plan.explain(shop_db)
         assert "vectorized=yes" in text
         assert "-- plan (optimized)" in text
+        row = compile_query(plan.query, shop_db.schema, shop_db,
+                            vectorize=False)
+        assert plan.vectorized and not row.vectorized
+        assert "vectorized" not in row.explain(shop_db)
 
     def test_fallback_annotated_and_counted(self, shop_db):
         # arithmetic inside the aggregate is outside the safe kernel subset
@@ -271,19 +279,3 @@ class TestVectorMachinery:
         )
         plan.run(shop_db)
         assert vec.BATCHES.value > before
-
-    def test_toggle_keys_plan_cache(self, shop_db):
-        query = parse_sql("SELECT name FROM products WHERE price > 5")
-        clear_plan_caches()
-        previous = vec.set_vector_enabled(True)
-        try:
-            on_plan = plan_for(query, shop_db.schema, shop_db)
-            vec.set_vector_enabled(False)
-            off_plan = plan_for(query, shop_db.schema, shop_db)
-            assert on_plan is not off_plan
-            assert on_plan.vectorized and not off_plan.vectorized
-            assert "vectorized" not in off_plan.explain(shop_db)
-            assert off_plan.run(shop_db).rows == on_plan.run(shop_db).rows
-        finally:
-            vec.set_vector_enabled(previous)
-            clear_plan_caches()
